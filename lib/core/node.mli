@@ -46,10 +46,13 @@ type t
     per-page chains, replayed on the first touch of each page and
     drained in the background by a trickle fiber
     ({!Tabs_recovery.Recovery_mgr}). Also turns on dependency logging
-    (the chains come from the parallel-recovery phase graphs). Off by
-    default — no access gate is installed and restart is
-    byte-identical to a build without the feature. The setting
-    survives {!crash}/{!restart}.
+    (the chains come from the parallel-recovery phase graphs). With it
+    on, a [?parallel_recovery] fiber count is unused — restart never
+    runs the eager parallel replay — and only the dependency emission
+    that option also turns on takes effect (the perfbench
+    configuration sets both). Off by default — no access gate is
+    installed and restart is byte-identical to a build without the
+    feature. The setting survives {!crash}/{!restart}.
 
     [?comm_batching] enables the Communication Manager's comm-batching
     layer ({!Tabs_net.Comm_mgr.batching}): piggybacked/delayed session

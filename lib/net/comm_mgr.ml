@@ -216,6 +216,8 @@ let involved_remotely t tid =
   let tree = tree_of t tid in
   tree.parent <> None || tree.children <> []
 
+let has_tree t tid = Hashtbl.mem t.trees (Tid.top_level tid)
+
 let forget_txn t tid = Hashtbl.remove t.trees (Tid.top_level tid)
 
 let note_outgoing t tid dest =

@@ -181,6 +181,11 @@ val children_of : t -> Tabs_wal.Tid.t -> int list
     been sent or received on behalf of the transaction. *)
 val involved_remotely : t -> Tabs_wal.Tid.t -> bool
 
+(** [has_tree t tid] — true while this incarnation holds spanning-tree
+    state for the transaction's family. Unlike the queries above it never
+    creates the entry. *)
+val has_tree : t -> Tabs_wal.Tid.t -> bool
+
 (** [set_remote_involvement_handler t f] — [f tid] runs the first time
     an inter-node message is sent or received for [tid]: the message the
     Communication Manager sends the Transaction Manager (Section 3.2.3). *)

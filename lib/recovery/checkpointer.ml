@@ -18,20 +18,18 @@ type t = {
   engine : Engine.t;
   node : int;
   vm : Vm.t;
-  log : Log_manager.t;
   config : config;
-  checkpoint : unit -> Record.lsn;
-      (* the Recovery Manager's fuzzy checkpoint, passed as a closure
-         because the Recovery Manager owns this daemon *)
-  floor : unit -> Record.lsn option;
-      (* extra truncation floor (Paxos acceptor state lives outside the
-         transaction chains but must survive until its txn is decided) *)
-  gate : unit -> bool;
-      (* cycles are skipped while this is false. Restart recovery holds
-         it: after [Log_manager.attach] the chain table is empty until
-         recovery restores it, so a cycle fired in that window would
-         compute no chain floor and truncate in-doubt undo chains — and
-         its checkpoint record would omit the prepared set. *)
+  reclaim : unit -> Record.lsn * int;
+      (* the Recovery Manager's fuzzy checkpoint plus truncation under
+         its log-floor rule, passed as a closure because the Recovery
+         Manager owns this daemon; returns the cut and the records
+         dropped *)
+  mutable held : bool;
+      (* cycles are skipped while set. Restart recovery holds the
+         daemon: after [Log_manager.attach] the chain table is empty
+         until recovery restores it, so a cycle fired in that window
+         would truncate in-doubt undo chains and write a checkpoint
+         missing the prepared set. *)
   wake_q : unit Engine.Waitq.t;
   mutable pending : bool;
   mutable last_cycle : int;
@@ -46,8 +44,8 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 (* One background cycle: trickle the oldest dirty pages out (raising the
-   truncation floor the most per write), take a fuzzy checkpoint, and
-   reclaim every record no live chain or dirty page still needs. *)
+   truncation floor the most per write), then checkpoint and reclaim
+   every record no live chain or dirty page still needs. *)
 let cycle t =
   t.last_cycle <- Engine.now t.engine;
   t.cycles <- t.cycles + 1;
@@ -64,47 +62,28 @@ let cycle t =
         Engine.emit t.engine
           (Rm_writeback
              { node = t.node; pages = List.length victims; oldest_rec_lsn }));
-  let ck = t.checkpoint () in
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) ck (Vm.dirty_pages t.vm)
-  in
-  let keep_from =
-    match Log_manager.oldest_first_lsn t.log with
-    | Some first -> min keep_from first
-    | None -> keep_from
-  in
-  let keep_from =
-    match t.floor () with
-    | Some f -> min keep_from f
-    | None -> keep_from
-  in
-  let reclaimable = keep_from - Log_manager.first_lsn t.log in
-  if reclaimable > 0 then begin
-    t.reclaimed <- t.reclaimed + reclaimable;
-    Log_manager.truncate t.log ~keep_from;
+  let keep_from, records = t.reclaim () in
+  if records > 0 then begin
+    t.reclaimed <- t.reclaimed + records;
     if Engine.tracing t.engine then
-      Engine.emit t.engine
-        (Rm_reclaimed { node = t.node; keep_from; records = reclaimable })
+      Engine.emit t.engine (Rm_reclaimed { node = t.node; keep_from; records })
   end
 
 let rec daemon t =
   if not t.pending then Engine.Waitq.wait t.wake_q;
   t.pending <- false;
-  if t.gate () then cycle t;
+  if not t.held then cycle t;
   daemon t
 
-let create engine ~node ~vm ~log ~checkpoint ?(floor = fun () -> None)
-    ?(gate = fun () -> true) config =
+let create engine ~node ~vm ~reclaim config =
   let t =
     {
       engine;
       node;
       vm;
-      log;
       config;
-      checkpoint;
-      floor;
-      gate;
+      reclaim;
+      held = false;
       wake_q = Engine.Waitq.create ();
       pending = false;
       last_cycle = 0;
@@ -115,6 +94,8 @@ let create engine ~node ~vm ~log ~checkpoint ?(floor = fun () -> None)
   in
   ignore (Engine.spawn engine ~node (fun () -> daemon t));
   t
+
+let hold t held = t.held <- held
 
 let request t =
   if not t.pending then begin

@@ -7,11 +7,12 @@
 
     + trickle-writes up to [trickle] dirty pages, oldest recovery LSN
       first (the pages holding the truncation floor down the longest);
-    + takes a fuzzy checkpoint through the Recovery Manager — no
-      flushing beyond the trickle, just the dirty-page and
-      active-transaction tables;
-    + truncates the log before [min (oldest dirty recovery LSN, oldest
-      live chain first LSN, checkpoint LSN)].
+    + hands over to the Recovery Manager, which takes a fuzzy
+      checkpoint (no flushing beyond the trickle, just the dirty-page
+      and active-transaction tables) and truncates the log under its
+      one floor rule: keep everything from [min (checkpoint LSN, oldest
+      dirty recovery LSN, oldest live chain first LSN, its reclamation
+      floor)].
 
     This replaces the flush-the-world path of
     {!Recovery_mgr.maybe_reclaim} on nodes that enable it (see
@@ -40,27 +41,23 @@ type Tabs_sim.Trace.event +=
       records : int;
     }
 
-(** [create engine ~node ~vm ~log ~checkpoint ?floor ?gate config]
-    spawns the daemon fiber. [checkpoint] is the Recovery Manager's
-    fuzzy checkpoint (passed as a closure — the Recovery Manager owns
-    the daemon). [?floor] supplies an extra truncation floor each cycle:
-    Paxos Commit acceptor records belong to no local transaction chain,
-    so without it the daemon would reclaim consensus state a takeover
-    still needs. [?gate] (default: always true) is consulted before each
-    cycle; a cycle whose gate reads false is skipped entirely. Restart
-    recovery holds the gate closed: until it restores the log's chain
-    table, a cycle would see no live chains, truncate in-doubt undo
-    records, and write a checkpoint missing the prepared set. *)
+(** [create engine ~node ~vm ~reclaim config] spawns the daemon fiber.
+    [reclaim] is the Recovery Manager's checkpoint-and-truncate step
+    (passed as a closure — the Recovery Manager owns the daemon); it
+    returns the truncation point and how many records it dropped. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
   vm:Tabs_accent.Vm.t ->
-  log:Tabs_wal.Log_manager.t ->
-  checkpoint:(unit -> Tabs_wal.Record.lsn) ->
-  ?floor:(unit -> Tabs_wal.Record.lsn option) ->
-  ?gate:(unit -> bool) ->
+  reclaim:(unit -> Tabs_wal.Record.lsn * int) ->
   config ->
   t
+
+(** [hold t true] makes the daemon skip its cycles until [hold t false].
+    Restart recovery holds it: until the log's chain table is restored,
+    a cycle would see no live chains, truncate in-doubt undo records,
+    and write a checkpoint missing the prepared set. *)
+val hold : t -> bool -> unit
 
 (** [poke t] wakes the daemon if at least [interval] has passed since
     its last cycle — called from forward processing, costs nothing. *)

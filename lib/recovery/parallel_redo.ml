@@ -23,7 +23,7 @@ type stats = {
 type phase = {
   members : int array;
   succs : int list array;
-  indeg : int array;
+  preds : int list array;
   prio : int array;  (* pop order: lower pops first; a permutation *)
   chain_edges : int;
   dep_edges : int;
@@ -31,7 +31,7 @@ type phase = {
   width : int;
 }
 
-type t = { op : phase; value : phase }
+type t = { op : phase; value : phase; undo : phase }
 
 (* Binary min-heap of member positions keyed by [prio]. Priorities are
    a permutation, so there are no ties to break. *)
@@ -100,61 +100,79 @@ let measure ~succs ~order =
     (depth, Array.fold_left max 0 per_level)
   end
 
-let build records =
+let pages = function
+  | Record.Update_operation u -> u.pages
+  | Record.Update_value u -> Object_id.pages u.obj
+  | _ -> []
+
+let build ~loser records =
   let n = Array.length records in
-  let op_list = ref [] and value_list = ref [] in
+  let op_list = ref [] and value_list = ref [] and undo_list = ref [] in
   for i = n - 1 downto 0 do
     match snd records.(i) with
-    | Record.Update_operation _ -> op_list := i :: !op_list
+    | Record.Update_operation u ->
+        op_list := i :: !op_list;
+        if loser u.tid then undo_list := i :: !undo_list
     | Record.Update_value _ -> value_list := i :: !value_list
     | _ -> ()
   done;
-  let make_phase members prio_of =
-    let m = Array.length members in
-    {
-      members;
-      succs = Array.make m [];
-      indeg = Array.make m 0;
-      prio = Array.init m prio_of;
-      chain_edges = 0;
-      dep_edges = 0;
-      depth = 0;
-      width = 0;
-    }
-  in
   let add_edge p a b =
     (* consecutive multi-page records can share several pages; one
        ordering edge between a pair is enough *)
     if a <> b && not (List.mem b p.succs.(a)) then begin
       p.succs.(a) <- b :: p.succs.(a);
-      p.indeg.(b) <- p.indeg.(b) + 1;
+      p.preds.(b) <- a :: p.preds.(b);
       true
     end
     else false
   in
-  (* Operation phase: forward order, per-page chains + dependency
-     edges between operation records. *)
-  let op = make_phase (Array.of_list !op_list) (fun pos -> pos) in
-  let op_m = Array.length op.members in
-  let op_pos_of_lsn = Hashtbl.create (max 16 op_m) in
+  (* A phase over [members] with its per-page chains: each member is
+     ordered after the previous member in pop order that shares a page
+     with it. Operations pop forward; values and loser undo pop
+     newest-first. *)
+  let chained members ~newest_first =
+    let m = Array.length members in
+    let at k = if newest_first then m - 1 - k else k in
+    let p =
+      {
+        members;
+        succs = Array.make m [];
+        preds = Array.make m [];
+        prio = Array.init m at;
+        chain_edges = 0;
+        dep_edges = 0;
+        depth = 0;
+        width = 0;
+      }
+    in
+    let edges = ref 0 in
+    let last_on_page : (Disk.page_id, int) Hashtbl.t = Hashtbl.create 64 in
+    for k = 0 to m - 1 do
+      let pos = at k in
+      List.iter
+        (fun pid ->
+          (match Hashtbl.find_opt last_on_page pid with
+          | Some prev -> if add_edge p prev pos then incr edges
+          | None -> ());
+          Hashtbl.replace last_on_page pid pos)
+        (pages (snd records.(members.(pos))))
+    done;
+    { p with chain_edges = !edges }
+  in
+  let measured p =
+    let order = Array.make (Array.length p.members) 0 in
+    Array.iteri (fun pos k -> order.(k) <- pos) p.prio;
+    let depth, width = measure ~succs:p.succs ~order in
+    { p with depth; width }
+  in
+  (* Operation phase: chains plus the dependency edges between
+     operation records. *)
+  let op = chained (Array.of_list !op_list) ~newest_first:false in
+  let op_pos_of_lsn = Hashtbl.create (max 16 (Array.length op.members)) in
   Array.iteri
     (fun pos i -> Hashtbl.replace op_pos_of_lsn (fst records.(i)) pos)
     op.members;
-  let chain_edges = ref 0 and dep_edges = ref 0 in
-  let last_on_page : (Disk.page_id, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun pos i ->
-      match snd records.(i) with
-      | Record.Update_operation u ->
-          List.iter
-            (fun pid ->
-              (match Hashtbl.find_opt last_on_page pid with
-              | Some prev -> if add_edge op prev pos then incr chain_edges
-              | None -> ());
-              Hashtbl.replace last_on_page pid pos)
-            u.pages
-      | _ -> ())
-    op.members;
+  let dep_edges = ref 0 in
   Array.iter
     (fun (_, record) ->
       match record with
@@ -176,66 +194,30 @@ let build records =
                 d.preds)
       | _ -> ())
     records;
-  let op_depth, op_width =
-    measure ~succs:op.succs ~order:(Array.init op_m (fun pos -> pos))
-  in
-  let op =
-    {
-      op with
-      chain_edges = !chain_edges;
-      dep_edges = !dep_edges;
-      depth = op_depth;
-      width = op_width;
-    }
-  in
-  (* Value phase: newest-first per-page chains. A value-logged object
-     fits one page, so same-object records always share a chain. *)
-  let value =
-    make_phase (Array.of_list !value_list) (fun _ -> 0 (* fixed below *))
-  in
-  let val_m = Array.length value.members in
-  let value =
-    { value with prio = Array.init val_m (fun pos -> val_m - 1 - pos) }
-  in
-  let vchain = ref 0 in
-  Hashtbl.reset last_on_page;
-  for pos = val_m - 1 downto 0 do
-    match snd records.(value.members.(pos)) with
-    | Record.Update_value u ->
-        List.iter
-          (fun pid ->
-            (match Hashtbl.find_opt last_on_page pid with
-            | Some newer -> if add_edge value newer pos then incr vchain
-            | None -> ());
-            Hashtbl.replace last_on_page pid pos)
-          (Object_id.pages u.obj)
-    | _ -> ()
-  done;
-  let val_depth, val_width =
-    measure ~succs:value.succs ~order:(Array.init val_m (fun k -> val_m - 1 - k))
-  in
-  let value =
-    { value with chain_edges = !vchain; depth = val_depth; width = val_width }
-  in
-  { op; value }
+  (* A value-logged object fits one page, so same-object value records
+     always share a chain. Loser undo is the serial backward undo pass
+     as a graph: instant restart replays it per page. *)
+  {
+    op = measured { op with dep_edges = !dep_edges };
+    value = measured (chained (Array.of_list !value_list) ~newest_first:true);
+    undo = chained (Array.of_list !undo_list) ~newest_first:true;
+  }
 
-let op_members t = t.op.members
+let members p = p.members
 
-let value_members t = t.value.members
-
-(* Predecessor lists by member position, inverting the stored successor
-   lists. Instant restart walks these to close a page's chain over the
-   cross-page records it depends on. *)
-let preds_of phase =
-  let preds = Array.make (Array.length phase.members) [] in
-  Array.iteri
-    (fun a succs -> List.iter (fun b -> preds.(b) <- a :: preds.(b)) succs)
-    phase.succs;
-  preds
-
-let op_preds t = preds_of t.op
-
-let value_preds t = preds_of t.value
+(* Predecessor closure of [seeds], in pop order: applying it in this
+   order respects every edge of the phase. *)
+let closure p seeds =
+  let seen = Hashtbl.create 32 in
+  let rec visit pos =
+    if not (Hashtbl.mem seen pos) then begin
+      Hashtbl.add seen pos ();
+      List.iter visit p.preds.(pos)
+    end
+  in
+  List.iter visit seeds;
+  Hashtbl.fold (fun pos () acc -> pos :: acc) seen []
+  |> List.sort (fun a b -> compare p.prio.(a) p.prio.(b))
 
 let stats t =
   {
@@ -254,10 +236,10 @@ let stats t =
    priority unapplied record always has in-degree zero — the heap can
    only be empty mid-phase while some worker is still applying, and
    that worker's completion signals the idle queue. *)
-let run_phase engine ~node ~fibers p ~apply =
+let run engine ~node ~fibers p ~apply =
   let m = Array.length p.members in
   if m > 0 then begin
-    let indeg = Array.copy p.indeg in
+    let indeg = Array.map List.length p.preds in
     let heap = Heap.create m p.prio in
     Array.iteri (fun pos d -> if d = 0 then Heap.push heap pos) indeg;
     let remaining = ref m in
@@ -296,9 +278,3 @@ let run_phase engine ~node ~fibers p ~apply =
     done;
     Engine.Waitq.wait finished
   end
-
-let run_op_phase t engine ~node ~fibers ~apply =
-  run_phase engine ~node ~fibers t.op ~apply
-
-let run_value_phase t engine ~node ~fibers ~apply =
-  run_phase engine ~node ~fibers t.value ~apply

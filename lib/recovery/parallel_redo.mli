@@ -7,17 +7,21 @@
     operation that read or overwrote another transaction family's
     object must be redone after that object's previous writer.
 
-    This module turns an analysis scan's record array into two
-    scheduling graphs and drains them over N simulator fibers:
+    This module turns an analysis scan's record array into three
+    scheduling graphs, each built by the same per-page chain rule (a
+    member is ordered after the previous member in pop order that
+    shares a page with it):
 
     - the {e operation phase} mirrors the serial forward redo pass:
-      per-page chains (consecutive operation records sharing a page)
-      plus the dependency-record edges between operation records;
-    - the {e value phase} mirrors the serial backward pass: per-page
-      chains among value records, drained newest-first. Value-logged
-      objects fit one page, so two records for the same object are
-      always chained and no cross-page edge is ever needed; dependency
-      records never constrain this phase.
+      per-page chains plus the dependency-record edges between
+      operation records;
+    - the {e value phase} mirrors the serial backward pass, drained
+      newest-first. Value-logged objects fit one page, so two records
+      for the same object are always chained and no cross-page edge is
+      ever needed; dependency records never constrain this phase;
+    - the {e undo phase} mirrors the serial backward undo pass over the
+      losers' operation records, newest-first. Eager recovery keeps
+      undo serial; instant restart replays it per page.
 
     Each phase's ready queue releases a record only when all its
     predecessors have been applied, and pops ready records in serial
@@ -34,7 +38,7 @@ val default : config
 type stats = {
   op_records : int;  (** operation records scheduled in the redo phase *)
   value_records : int;  (** value records scheduled in the backward phase *)
-  chain_edges : int;  (** same-page ordering edges across both phases *)
+  chain_edges : int;  (** same-page ordering edges across both redo phases *)
   dep_edges : int;
       (** cross-page edges contributed by dependency records (operation
           phase only; dangling predecessors below the scan anchor are
@@ -47,58 +51,47 @@ type stats = {
           at once given unlimited fibers *)
 }
 
-type t
+(** One phase graph. Members are indices into the records array passed
+    to {!build}, in log order; positions index [members]. *)
+type phase
 
-(** [build records] constructs both phase graphs from an analysis
-    scan's [(lsn, record)] array. Pure bookkeeping: charges nothing. *)
-val build : (Tabs_wal.Record.lsn * Tabs_wal.Record.t) array -> t
+type t = { op : phase; value : phase; undo : phase }
 
+(** [build ~loser records] constructs the three phase graphs from an
+    analysis scan's [(lsn, record)] array; [loser tid] selects the
+    operation records the undo phase rolls back. Pure bookkeeping:
+    charges nothing. *)
+val build :
+  loser:(Tabs_wal.Tid.t -> bool) ->
+  (Tabs_wal.Record.lsn * Tabs_wal.Record.t) array ->
+  t
+
+(** Shape of the redo phases (operation and value); the undo phase is
+    not counted. *)
 val stats : t -> stats
 
-(** {2 Graph introspection}
+(** The pages a logged update covers; [[]] for any other record. *)
+val pages : Tabs_wal.Record.t -> Tabs_storage.Disk.page_id list
 
-    Instant restart reuses the phase graphs for lazy per-page replay:
-    it indexes members by page and, on first touch of a page, applies
-    the predecessor closure of that page's chain in priority order.
-    Member arrays hold indices into the original records array, in
-    phase priority order (ascending LSN for operations; value members
-    are in log order but drain newest-first). *)
+(** [members p] — the phase's record indices, in log order. *)
+val members : phase -> int array
 
-(** [op_members g] — operation-phase members, indices into the records
-    array passed to {!build}, in log order. *)
-val op_members : t -> int array
+(** [closure p seeds] — the predecessor closure of the member positions
+    [seeds], in the phase's pop order (ascending LSN for operations,
+    descending for values and undo). Applying it in that order respects
+    every edge: instant restart replays one page's chain this way. *)
+val closure : phase -> int list -> int list
 
-(** [value_members g] — value-phase members, in log order. *)
-val value_members : t -> int array
-
-(** [op_preds g] — predecessor member positions (same-page chains plus
-    dependency edges) for each operation-phase member position. Fresh
-    arrays: callers may mutate. *)
-val op_preds : t -> int list array
-
-(** [value_preds g] — predecessor (newer same-page record) positions
-    for each value-phase member position. *)
-val value_preds : t -> int list array
-
-(** [run_op_phase g engine ~node ~fibers ~apply] drains the operation
-    graph over [fibers] worker fibers spawned on [node]; [apply i] is
-    called with the index into the original records array once record
-    [i]'s predecessors have all been applied. Returns when every
-    operation record has been applied. Must run inside a fiber. *)
-val run_op_phase :
-  t ->
+(** [run engine ~node ~fibers p ~apply] drains phase [p] over [fibers]
+    worker fibers spawned on [node]; [apply i] is called with the index
+    into the original records array once record [i]'s predecessors have
+    all been applied, ready records popping in the phase's pop order.
+    Returns when every member has been applied. Must run inside a
+    fiber. *)
+val run :
   Tabs_sim.Engine.t ->
   node:int ->
   fibers:int ->
-  apply:(int -> unit) ->
-  unit
-
-(** [run_value_phase g engine ~node ~fibers ~apply] likewise drains the
-    value graph, newest record first within each page chain. *)
-val run_value_phase :
-  t ->
-  Tabs_sim.Engine.t ->
-  node:int ->
-  fibers:int ->
+  phase ->
   apply:(int -> unit) ->
   unit

@@ -60,47 +60,34 @@ type analysis = {
   aborted : (Tid.t, unit) Hashtbl.t; (* incl. subtransactions *)
 }
 
-module Obj_key = struct
-  type t = Object_id.t
+module Obj_set = Hashtbl.Make (Object_id)
 
-  let equal = Object_id.equal
+(* One parked phase graph of instant restart: the {!Parallel_redo}
+   phase, its member positions indexed by page, and applied flags so a
+   record shared between pages (multi-page operations, cross-page
+   dependency closures) is applied exactly once. *)
+type parked = {
+  phase : Parallel_redo.phase;
+  applied : bool array;
+  on_page : (Disk.page_id, int list) Hashtbl.t;
+}
 
-  let hash = Object_id.hash
-end
-
-module Obj_set = Hashtbl.Make (Obj_key)
-
-(* Instant restart's parked redo state: the per-page chains from
-   {!Parallel_redo}'s phase graphs, indexed by page, plus application
-   flags so a record shared between pages (multi-page operations,
-   cross-page dependency closures) is applied exactly once. A page
-   leaves [pending] when every member touching it — operation redo,
-   value, and loser undo — has been applied. *)
+(* Instant restart's parked redo state: the operation-redo, value and
+   loser-undo phases of {!Parallel_redo.build}. A page leaves [pending]
+   when every member touching it, in all three phases, has been
+   applied. *)
 type ondemand = {
   od_analysis : analysis;
-  (* operation redo phase: forward order, chains + dependency edges *)
-  od_op_members : int array;
-  od_op_preds : int list array;
-  od_op_applied : bool array;
-  od_page_ops : (Disk.page_id, int list) Hashtbl.t;
-  (* value phase: per-page chains drained newest-first *)
-  od_val_members : int array;
-  od_val_preds : int list array;
-  od_val_applied : bool array;
-  od_page_values : (Disk.page_id, int list) Hashtbl.t;
+  od_op : parked;
+  od_value : parked;
   od_finalized : unit Obj_set.t;
-  (* loser undo: newest-first, after redo of every page it touches *)
-  od_undo_members : int array;
-  od_undo_preds : int list array;
-  od_undo_applied : bool array;
-  od_page_undos : (Disk.page_id, int list) Hashtbl.t;
-  (* page state *)
+  od_undo : parked;  (* after redo of every page it touches *)
   od_pending : (Disk.page_id, unit) Hashtbl.t;
   od_page_first : (Disk.page_id, Record.lsn) Hashtbl.t;
       (* oldest parked record per page — the conservative recovery LSN
          a checkpoint taken in the window must report for it *)
   od_redo_done : (Disk.page_id, unit) Hashtbl.t;
-  mutable od_paxos_floor : Record.lsn option;
+  od_paxos_floor : Record.lsn option;
       (* oldest re-appended acceptor record: held down until the
          trickle finalizes (the TM's own floor takes over by then) *)
   mutable od_owner : int; (* fiber id mid-replay; -1 when free *)
@@ -140,14 +127,14 @@ type t = {
          passes wrote, counted into the Metrics restart_pages row *)
   mutable apply_hook : (phase:string -> lsn:Record.lsn -> unit) option;
       (* test instrumentation: observes every redo/undo application, in
-         order, from both the serial and the parallel replay paths *)
+         order, from every replay path *)
   mutable recovering : bool;
       (* true from the start of [recover] until the log's chain table is
          restored. [Log_manager.attach] starts the table empty, so any
          truncation decided in that window would see no live chains and
          reclaim records that in-doubt transactions still need for undo;
          the flag pins the reclamation floor and holds the checkpoint
-         daemon's cycle gate closed until restoration completes. *)
+         daemon until restoration completes. *)
   open_q : unit Engine.Waitq.t;
       (* fibers parked in [await_open], woken when [recover] returns *)
 }
@@ -169,6 +156,9 @@ let set_truncation_floor_source t f = t.truncation_floor_source <- f
 
 let set_apply_hook t f = t.apply_hook <- f
 
+let min_lsn a b =
+  match (a, b) with None, f | f, None -> f | Some a, Some b -> Some (min a b)
+
 (* The log floor parked recovery work pins: the oldest record of any
    still-pending per-page chain, plus the re-appended Paxos acceptor
    records (held until the trickle's finalize; the TM's own floor
@@ -179,10 +169,7 @@ let ondemand_floor t =
   | Some st ->
       Hashtbl.fold
         (fun pid () acc ->
-          let f = Hashtbl.find st.od_page_first pid in
-          match acc with
-          | Some a when a <= f -> acc
-          | Some _ | None -> Some f)
+          min_lsn acc (Some (Hashtbl.find st.od_page_first pid)))
         st.od_pending st.od_paxos_floor
 
 let reclamation_floor t =
@@ -190,10 +177,7 @@ let reclamation_floor t =
     (* Chain table not restored yet (see [recovering]): pin the floor at
        the log's first retained record so any truncation is a no-op. *)
     Some (Log_manager.first_lsn t.log)
-  else
-    match (ondemand_floor t, t.truncation_floor_source ()) with
-    | None, f | f, None -> f
-    | Some a, Some b -> Some (min a b)
+  else min_lsn (ondemand_floor t) (t.truncation_floor_source ())
 
 let hook t phase lsn =
   match t.apply_hook with None -> () | Some f -> f ~phase ~lsn
@@ -246,33 +230,31 @@ let maybe_poke_checkpointer t =
 
 (* Forward processing ------------------------------------------------- *)
 
-let log_value t ~tid ~obj ~old_value ~new_value =
-  if not (Object_id.fits_one_page obj) then
-    invalid_arg "Recovery_mgr.log_value: object spans pages (use operation \
-                 logging)";
-  (* The server sends the buffered old value and the new value to the
-     Recovery Manager in one large message; the RM spools it. *)
-  Engine.charge t.engine Cost_model.Large_contiguous_message;
-  Engine.charge_cpu t.engine ~process:"rm" Overheads.rm_spool_write;
-  let lsn = Log_manager.append_value t.log ~tid ~obj ~old_value ~new_value in
-  Vm.note_update t.vm obj ~lsn;
-  note_pages_logged t (Object_id.pages obj) lsn;
-  maybe_poke_checkpointer t;
-  lsn
-
-let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ?(reads = []) ~objs
-    () =
+(* The server sends the update's record (for value logging, the
+   buffered old value and the new value) to the Recovery Manager in one
+   large message; the RM spools it. *)
+let spool t ~objs append =
   Engine.charge t.engine Cost_model.Large_contiguous_message;
   Engine.charge_cpu t.engine ~process:"rm" Overheads.rm_spool_write;
   let pages = List.concat_map Object_id.pages objs in
-  let lsn =
-    Log_manager.append_operation t.log ~tid ~server ~operation:op ~undo_arg
-      ~redo_arg ~pages ~objs ~reads ()
-  in
+  let lsn = append pages in
   List.iter (fun obj -> Vm.note_update t.vm obj ~lsn) objs;
   note_pages_logged t pages lsn;
   maybe_poke_checkpointer t;
   lsn
+
+let log_value t ~tid ~obj ~old_value ~new_value =
+  if not (Object_id.fits_one_page obj) then
+    invalid_arg "Recovery_mgr.log_value: object spans pages (use operation \
+                 logging)";
+  spool t ~objs:[ obj ] (fun _ ->
+      Log_manager.append_value t.log ~tid ~obj ~old_value ~new_value)
+
+let log_operation t ~tid ~server ~op ~undo_arg ~redo_arg ?(reads = []) ~objs
+    () =
+  spool t ~objs (fun pages ->
+      Log_manager.append_operation t.log ~tid ~server ~operation:op ~undo_arg
+        ~redo_arg ~pages ~objs ~reads ())
 
 (* The kernel writes modified pages back to their segments as paging
    activity allows (the paper measured 0.86 page I/Os per update
@@ -357,6 +339,28 @@ let abort t ~tid =
 
 (* Checkpoints and reclamation ---------------------------------------- *)
 
+(* Oldest first-update LSN per transaction family, from per-tid chain
+   firsts. *)
+let family_firsts chains =
+  let firsts = Hashtbl.create 16 in
+  List.iter
+    (fun (tid, first) ->
+      let top = Tid.top_level tid in
+      match Hashtbl.find_opt firsts top with
+      | Some f when f <= first -> ()
+      | Some _ | None -> Hashtbl.replace firsts top first)
+    chains;
+  firsts
+
+(* Where an analysis anchored at the checkpoint written at [lsn] starts
+   reading: the oldest of the checkpoint itself, its dirty pages'
+   recovery LSNs, and its live families' first-update LSNs. *)
+let scan_floor lsn (c : Record.checkpoint) =
+  let floor = List.fold_left (fun acc (_, r) -> min acc r) lsn c.dirty_pages in
+  List.fold_left
+    (fun acc (_, first) -> match first with Some f -> min acc f | None -> acc)
+    floor c.active_txns
+
 (* A fuzzy checkpoint: record where recovery would have to start —
    the dirty pages with their recovery LSNs, the first-update LSN of
    every live transaction family, and the unresolved prepared
@@ -398,14 +402,7 @@ let checkpoint t =
   let prepared =
     List.sort compare (List.filter undecided (t.prepared_source ()))
   in
-  let family_first = Hashtbl.create 16 in
-  List.iter
-    (fun (tid, first) ->
-      let top = Tid.top_level tid in
-      match Hashtbl.find_opt family_first top with
-      | Some f when f <= first -> ()
-      | Some _ | None -> Hashtbl.replace family_first top first)
-    (Log_manager.live_chain_firsts t.log);
+  let family_first = family_firsts (Log_manager.live_chain_firsts t.log) in
   let seen = Hashtbl.create 16 in
   let active_txns =
     List.filter_map
@@ -420,25 +417,14 @@ let checkpoint t =
       @ Hashtbl.fold (fun top _ acc -> top :: acc) family_first [])
     |> List.sort compare
   in
-  let lsn =
-    Log_manager.append t.log
-      (Record.Checkpoint { dirty_pages; active_txns; prepared })
-  in
+  let c = { Record.dirty_pages; active_txns; prepared } in
+  let lsn = Log_manager.append t.log (Record.Checkpoint c) in
   (* Checkpoint-time pruning of the dependency last-writer table: an
      entry below this checkpoint's scan anchor can never seed a kept
      edge — the next restart's analysis starts at the anchor, and
      {!Parallel_redo.build} drops dependency predecessors below it as
      provably on disk. No-op unless dependency logging is on. *)
-  let prune_floor =
-    List.fold_left (fun acc (_, r) -> min acc r) lsn dirty_pages
-  in
-  let prune_floor =
-    List.fold_left
-      (fun acc (_, first) ->
-        match first with Some f -> min acc f | None -> acc)
-      prune_floor active_txns
-  in
-  Log_manager.prune_last_writer t.log ~floor:prune_floor;
+  Log_manager.prune_last_writer t.log ~floor:(scan_floor lsn c);
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_checkpoint
@@ -452,6 +438,36 @@ let checkpoint t =
   Log_manager.force_all t.log;
   lsn
 
+(* The one log-floor rule. Everything from the oldest of the checkpoint
+   [ck], every dirty page's recovery LSN, every live chain's first
+   record, and [floor] must stay; the prefix below is truncated.
+   Returns the cut and the number of records dropped. *)
+let truncate_log t ~ck ~floor =
+  let keep_from =
+    List.fold_left (fun acc (_, r) -> min acc r) ck (Vm.dirty_pages t.vm)
+  in
+  let keep_from =
+    match min_lsn (Log_manager.oldest_first_lsn t.log) floor with
+    | Some f -> min keep_from f
+    | None -> keep_from
+  in
+  let records = keep_from - Log_manager.first_lsn t.log in
+  if records > 0 then Log_manager.truncate t.log ~keep_from;
+  (keep_from, records)
+
+(* A fuzzy checkpoint, then truncation under every floor the live node
+   pins: the checkpoint daemon's cycle and the foreground reclaim. *)
+let reclaim t =
+  let ck = checkpoint t in
+  truncate_log t ~ck ~floor:(reclamation_floor t)
+
+(* The closing tail of both restart paths: flush every dirty page,
+   write the closing [checkpoint ()], truncate under [floor ()]. *)
+let flush_and_reclaim t ~checkpoint ~floor =
+  Vm.flush_all t.vm;
+  let ck = checkpoint () in
+  ignore (truncate_log t ~ck ~floor:(floor ()))
+
 let maybe_reclaim t =
   if Log_manager.stable_bytes t.log <= t.log_space_limit then false
   else
@@ -463,25 +479,10 @@ let maybe_reclaim t =
         false
     | None ->
         (* Reclamation "may force pages back to disk before they would
-           otherwise be written". *)
+           otherwise be written"; pinned pages can survive the flush,
+           and the floor rule keeps their recovery LSNs. *)
         Vm.flush_all t.vm;
-        let ck = checkpoint t in
-        let keep_from =
-          match Log_manager.oldest_first_lsn t.log with
-          | Some first -> min ck first
-          | None -> ck
-        in
-        (* pinned pages can survive the flush: keep their recovery LSNs *)
-        let keep_from =
-          List.fold_left (fun acc (_, r) -> min acc r) keep_from
-            (Vm.dirty_pages t.vm)
-        in
-        let keep_from =
-          match reclamation_floor t with
-          | Some f -> min keep_from f
-          | None -> keep_from
-        in
-        Log_manager.truncate t.log ~keep_from;
+        ignore (reclaim t);
         true
 
 let create engine ~node ~log ~vm ?(profile = Profile.Classic)
@@ -527,10 +528,7 @@ let create engine ~node ~log ~vm ?(profile = Profile.Classic)
   t.checkpointer <-
     Option.map
       (fun config ->
-        Checkpointer.create engine ~node ~vm ~log
-          ~checkpoint:(fun () -> checkpoint t)
-          ~floor:(fun () -> reclamation_floor t)
-          ~gate:(fun () -> not t.recovering)
+        Checkpointer.create engine ~node ~vm ~reclaim:(fun () -> reclaim t)
           config)
       checkpointing;
   t
@@ -541,6 +539,11 @@ let status_of a top =
   match Hashtbl.find_opt a.statuses top with Some s -> s | None -> Active
 
 let set_status a top status = Hashtbl.replace a.statuses top status
+
+(* A family seen live, unless its fate is already known. *)
+let note_live a tid =
+  let top = Tid.top_level tid in
+  if not (Hashtbl.mem a.statuses top) then set_status a top Active
 
 (* Did a logged abort cover [tid] — itself or any ancestor? Probed by
    path prefix against the abort set, so the cost per record is the
@@ -582,18 +585,7 @@ let analyze ?(anchored = true) t =
   let scan_from =
     match anchor with
     | None -> Log_manager.first_lsn t.log
-    | Some (lsn, c) ->
-        let floor =
-          List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) lsn
-            c.dirty_pages
-        in
-        let floor =
-          List.fold_left
-            (fun acc (_, first) ->
-              match first with Some f -> min acc f | None -> acc)
-            floor c.active_txns
-        in
-        max (Log_manager.first_lsn t.log) floor
+    | Some (lsn, c) -> max (Log_manager.first_lsn t.log) (scan_floor lsn c)
   in
   let acc = ref [] in
   let bytes = ref 0 in
@@ -619,18 +611,13 @@ let analyze ?(anchored = true) t =
         (fun (tid, coordinator) ->
           set_status a (Tid.top_level tid) (Prepared coordinator))
         c.prepared;
-      List.iter
-        (fun (tid, _) ->
-          let top = Tid.top_level tid in
-          if not (Hashtbl.mem a.statuses top) then set_status a top Active)
-        c.active_txns);
+      List.iter (fun (tid, _) -> note_live a tid) c.active_txns);
   Array.iter
     (fun (_, record) ->
       match record with
       | Record.Txn_begin tid | Record.Update_value { tid; _ }
       | Record.Update_operation { tid; _ } ->
-          let top = Tid.top_level tid in
-          if not (Hashtbl.mem a.statuses top) then set_status a top Active
+          note_live a tid
       | Record.Txn_prepare (tid, coordinator) ->
           set_status a (Tid.top_level tid) (Prepared coordinator)
       | Record.Txn_commit tid -> set_status a (Tid.top_level tid) Committed
@@ -657,6 +644,14 @@ let winner a tid =
   | Committed | Prepared _ -> true
   | Aborted | Active -> false
 
+(* A replayed application covering [pages]: note the kernel's page
+   LSNs, and count the pages into an eager replay's instrumentation. *)
+let note_replayed t pages ~lsn =
+  Vm.note_pages t.vm pages ~lsn;
+  match t.replayed_pages with
+  | Some set -> List.iter (fun pid -> Hashtbl.replace set pid ()) pages
+  | None -> ()
+
 (* Pass 2 for operation logging: repeat history forward, gated by the
    sector sequence numbers so already-reflected effects are skipped.
    The per-record body is shared with the parallel scheduler, which
@@ -672,10 +667,7 @@ let apply_op_redo t a i =
         hook t "op_redo" lsn;
         small_msg t;
         (op_handler t u.server).redo ~op:u.operation ~arg:u.redo_arg;
-        Vm.note_pages t.vm u.pages ~lsn;
-        match t.replayed_pages with
-        | Some set -> List.iter (fun pid -> Hashtbl.replace set pid ()) u.pages
-        | None -> ()
+        note_replayed t u.pages ~lsn
       end
   | _ -> ()
 
@@ -692,10 +684,7 @@ let apply_op_undo t a i =
       hook t "op_undo" lsn;
       small_msg t;
       (op_handler t u.server).undo ~op:u.operation ~arg:u.undo_arg;
-      Vm.note_pages t.vm u.pages ~lsn;
-      (match t.replayed_pages with
-      | Some set -> List.iter (fun pid -> Hashtbl.replace set pid ()) u.pages
-      | None -> ())
+      note_replayed t u.pages ~lsn
   | _ -> ()
 
 let op_undo_pass t a =
@@ -720,34 +709,23 @@ let apply_value t a finalized i =
   match a.records.(i) with
   | lsn, Record.Update_value u ->
       if not (Obj_set.mem finalized u.obj) then begin
+        let pages = Object_id.pages u.obj in
         let on_disk =
           (* value-logged objects fit one page (checked at log_value) *)
-          List.for_all
-            (fun pid -> Disk.seqno (Vm.disk t.vm) pid >= lsn)
-            (Object_id.pages u.obj)
-        in
-        let mark () =
-          match t.replayed_pages with
-          | Some set ->
-              List.iter
-                (fun pid -> Hashtbl.replace set pid ())
-                (Object_id.pages u.obj)
-          | None -> ()
+          List.for_all (fun pid -> Disk.seqno (Vm.disk t.vm) pid >= lsn) pages
         in
         if winner a u.tid then begin
           if not on_disk then begin
             hook t "value_redo" lsn;
             restore_value t u.obj u.new_value;
-            Vm.note_pages t.vm (Object_id.pages u.obj) ~lsn;
-            mark ()
+            note_replayed t pages ~lsn
           end;
           Obj_set.add finalized u.obj ()
         end
         else if on_disk then begin
           hook t "value_undo" lsn;
           restore_value t u.obj u.old_value;
-          Vm.note_pages t.vm (Object_id.pages u.obj) ~lsn;
-          mark ()
+          note_replayed t pages ~lsn
         end
       end
   | _ -> ()
@@ -758,59 +736,65 @@ let value_backward_pass t a =
     apply_value t a finalized i
   done
 
-(* Shared restart bookkeeping: roll-back records for the losers, the
-   in-doubt set, and the re-registered in-doubt update chains a later
-   [abort] must be able to walk. *)
+(* Shared restart bookkeeping: the statuses the TM's restart queries
+   read, roll-back records for the losers, the in-doubt set, and the
+   re-registered in-doubt update chains a later [abort] must be able to
+   walk (returned as (tid, first LSN)). *)
 let resolve_outcome t a =
+  (* sorted: hashtable iteration order depends on tid hashing, and the
+     appends below must not vary between runs of the same crash *)
+  let statuses =
+    List.sort compare
+      (Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) a.statuses [])
+  in
+  t.last_statuses <- statuses;
   (* Roll-back records for the losers that never logged an outcome. *)
   let losers =
-    Hashtbl.fold
-      (fun tid status acc -> if status = Active then tid :: acc else acc)
-      a.statuses []
-    |> List.sort Tid.compare
+    List.filter_map (function tid, Active -> Some tid | _ -> None) statuses
   in
   List.iter
     (fun tid -> ignore (Log_manager.append t.log (Record.Txn_abort tid)))
     losers;
   let in_doubt =
-    Hashtbl.fold
-      (fun tid status acc ->
-        match status with Prepared c -> (tid, c) :: acc | _ -> acc)
-      a.statuses []
-    |> List.sort compare
+    List.filter_map
+      (function tid, Prepared c -> Some (tid, c) | _ -> None)
+      statuses
   in
   let in_doubt_tops = Hashtbl.create 8 in
   List.iter (fun (tid, _) -> Hashtbl.replace in_doubt_tops tid ()) in_doubt;
-  let written_objects =
-    Array.to_list a.records
-    |> List.filter_map (fun (_, record) ->
-           match record with
-           | Record.Update_value u
-             when Hashtbl.mem in_doubt_tops (Tid.top_level u.tid) ->
-               Some (u.tid, u.obj)
-           | _ -> None)
-  in
+  let in_doubt_tid tid = Hashtbl.mem in_doubt_tops (Tid.top_level tid) in
   (* In-doubt transactions may yet be told to abort by their
-     coordinator: re-register their update chains so a later
-     [abort] can walk them. *)
-  let chains = Hashtbl.create 8 in
+     coordinator: re-register their update chains so a later [abort]
+     can walk them. Their value-logged objects are re-locked. *)
+  let written_objects = ref [] and chains = Hashtbl.create 8 in
+  let chain tid lsn =
+    match Hashtbl.find_opt chains tid with
+    | None -> Hashtbl.add chains tid (lsn, lsn)
+    | Some (first, _) -> Hashtbl.replace chains tid (first, lsn)
+  in
   Array.iter
     (fun (lsn, record) ->
       match record with
-      | (Record.Update_value { tid; _ } | Record.Update_operation { tid; _ })
-        when Hashtbl.mem in_doubt_tops (Tid.top_level tid) -> (
-          match Hashtbl.find_opt chains tid with
-          | None -> Hashtbl.add chains tid (lsn, lsn)
-          | Some (first, _) -> Hashtbl.replace chains tid (first, lsn))
+      | Record.Update_value { tid; obj; _ } when in_doubt_tid tid ->
+          written_objects := (tid, obj) :: !written_objects;
+          chain tid lsn
+      | Record.Update_operation { tid; _ } when in_doubt_tid tid ->
+          chain tid lsn
       | _ -> ())
     a.records;
   (* sorted: hashtable iteration order depends on tid hashing, and the
      restore order must not vary between runs of the same crash *)
-  Hashtbl.fold (fun tid (first, last) acc -> (tid, first, last) :: acc) chains []
-  |> List.sort compare
-  |> List.iter (fun (tid, first, last) ->
-         Log_manager.restore_chain t.log ~tid ~first ~last);
-  (losers, in_doubt, written_objects, chains)
+  let chains =
+    Hashtbl.fold (fun tid (first, last) acc -> (tid, first, last) :: acc)
+      chains []
+    |> List.sort compare
+  in
+  List.iter
+    (fun (tid, first, last) ->
+      Log_manager.restore_chain t.log ~tid ~first ~last)
+    chains;
+  (losers, in_doubt, List.rev !written_objects,
+   List.map (fun (tid, first, _) -> (tid, first)) chains)
 
 (* Paxos Commit acceptor state must survive post-restart reclamation: it
    belongs to no local transaction chain, so the keep_from floor would
@@ -870,12 +854,18 @@ let condense_paxos a =
                      Record.Paxos_accept { tid; part; ballot; yes })))
       (List.sort Tid.compare !tids)
 
-let finish_statuses t a =
-  t.last_statuses <-
-    List.sort compare
-      (Hashtbl.fold (fun tid s acc -> (tid, s) :: acc) a.statuses [])
+(* Re-append the condensed acceptor state above the scanned history,
+   stably. *)
+let reappend_paxos t a =
+  let paxos =
+    List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
+  in
+  Log_manager.force_all t.log;
+  paxos
 
-let trace_recovered t a ~losers ~in_doubt =
+(* The end of either restart path: trace and summarize. *)
+let finish t a ~t0 (losers, in_doubt, written_objects, _) ~replay_us ~graph
+    ~paxos ~open_early =
   if Engine.tracing t.engine then
     Engine.emit t.engine
       (Rm_recovered
@@ -884,110 +874,85 @@ let trace_recovered t a ~losers ~in_doubt =
            scanned = Array.length a.records;
            losers = List.length losers;
            in_doubt = List.length in_doubt;
-         })
+         });
+  {
+    losers;
+    in_doubt;
+    written_objects;
+    records_scanned = Array.length a.records;
+    replay_us;
+    graph;
+    paxos;
+    open_early;
+    time_to_open_us = Engine.now t.engine - t0;
+  }
 
 (* Instant restart ----------------------------------------------------- *)
 
-let record_pages a i =
-  match a.records.(i) with
-  | _, Record.Update_operation u -> u.pages
-  | _, Record.Update_value u -> Object_id.pages u.obj
-  | _ -> []
+let loser a tid = not (winner a tid)
 
-(* Index the phase graphs by page and park every chain. A page's
-   [od_page_first] is the LSN of its oldest parked record: the recovery
-   LSN a window checkpoint reports for it, and the log floor it pins. *)
-let build_ondemand a g =
-  let od_op_members = Parallel_redo.op_members g in
-  let od_op_preds = Parallel_redo.op_preds g in
-  let od_val_members = Parallel_redo.value_members g in
-  let od_val_preds = Parallel_redo.value_preds g in
-  let od_page_ops = Hashtbl.create 64 in
-  let od_page_values = Hashtbl.create 64 in
-  let od_page_first = Hashtbl.create 64 in
-  let od_pending = Hashtbl.create 64 in
-  let index tbl members =
-    Array.iteri
-      (fun pos i ->
-        let lsn = fst a.records.(i) in
-        List.iter
-          (fun pid ->
-            Hashtbl.replace tbl pid
-              (pos :: Option.value (Hashtbl.find_opt tbl pid) ~default:[]);
-            (match Hashtbl.find_opt od_page_first pid with
-            | Some f when f <= lsn -> ()
-            | Some _ | None -> Hashtbl.replace od_page_first pid lsn);
-            Hashtbl.replace od_pending pid ())
-          (record_pages a i))
-      members
-  in
-  index od_page_ops od_op_members;
-  index od_page_values od_val_members;
-  (* Loser-undo members: operation records of non-winners, chained
-     newest-first per page like the value phase. Their pages are
-     already pending via the op index; this adds the undo ordering. *)
-  let undo_list = ref [] in
-  for i = Array.length a.records - 1 downto 0 do
-    match a.records.(i) with
-    | _, Record.Update_operation u when not (winner a u.tid) ->
-        undo_list := i :: !undo_list
-    | _ -> ()
-  done;
-  let od_undo_members = Array.of_list !undo_list in
-  let um = Array.length od_undo_members in
-  let od_undo_preds = Array.make um [] in
-  let last = Hashtbl.create 16 in
-  for pos = um - 1 downto 0 do
-    List.iter
-      (fun pid ->
-        (match Hashtbl.find_opt last pid with
-        | Some newer when not (List.mem newer od_undo_preds.(pos)) ->
-            od_undo_preds.(pos) <- newer :: od_undo_preds.(pos)
-        | Some _ | None -> ());
-        Hashtbl.replace last pid pos)
-      (record_pages a od_undo_members.(pos))
-  done;
-  let od_page_undos = Hashtbl.create 16 in
-  index od_page_undos od_undo_members;
+(* Index one phase graph by page and park it. [page_first] collects
+   each page's oldest parked record: the recovery LSN a window
+   checkpoint reports for it, and the log floor it pins. *)
+let park a phase ~page_first ~pending =
+  let members = Parallel_redo.members phase in
+  let on_page = Hashtbl.create 64 in
+  Array.iteri
+    (fun pos i ->
+      let lsn, record = a.records.(i) in
+      List.iter
+        (fun pid ->
+          Hashtbl.replace on_page pid
+            (pos :: Option.value (Hashtbl.find_opt on_page pid) ~default:[]);
+          (match Hashtbl.find_opt page_first pid with
+          | Some f when f <= lsn -> ()
+          | Some _ | None -> Hashtbl.replace page_first pid lsn);
+          Hashtbl.replace pending pid ())
+        (Parallel_redo.pages record))
+    members;
+  { phase; applied = Array.make (Array.length members) false; on_page }
+
+let build_ondemand a (g : Parallel_redo.t) ~paxos_floor =
+  let od_page_first = Hashtbl.create 64 and od_pending = Hashtbl.create 64 in
+  let park = park a ~page_first:od_page_first ~pending:od_pending in
+  let od_op = park g.op in
+  let od_value = park g.value in
+  let od_undo = park g.undo in
   {
     od_analysis = a;
-    od_op_members;
-    od_op_preds;
-    od_op_applied = Array.make (Array.length od_op_members) false;
-    od_page_ops;
-    od_val_members;
-    od_val_preds;
-    od_val_applied = Array.make (Array.length od_val_members) false;
-    od_page_values;
+    od_op;
+    od_value;
     od_finalized = Obj_set.create 64;
-    od_undo_members;
-    od_undo_preds;
-    od_undo_applied = Array.make um false;
-    od_page_undos;
+    od_undo;
     od_pending;
     od_page_first;
     od_redo_done = Hashtbl.create 64;
-    od_paxos_floor = None;
+    od_paxos_floor = paxos_floor;
     od_owner = -1;
     od_latch = Engine.Waitq.create ();
     od_applies = 0;
   }
 
-(* Predecessor closure of a set of member positions, sorted. Applying a
-   closure in priority order respects every edge: both phase graphs
-   only have edges from lower to higher priority. *)
-let closure preds seeds =
-  let seen = Hashtbl.create 32 in
-  let rec visit pos =
-    if not (Hashtbl.mem seen pos) then begin
-      Hashtbl.add seen pos ();
-      List.iter visit preds.(pos)
-    end
-  in
-  List.iter visit seeds;
-  List.sort compare (Hashtbl.fold (fun pos () acc -> pos :: acc) seen [])
+let page_members p pid =
+  Option.value (Hashtbl.find_opt p.on_page pid) ~default:[]
 
-let page_members tbl pid = Option.value (Hashtbl.find_opt tbl pid) ~default:[]
+(* Apply the members of [p] at [positions], in order, skipping any
+   already applied — by an earlier page's closure, or another phase's
+   replay of a shared record. *)
+let apply_unapplied st p positions ~apply =
+  let members = Parallel_redo.members p.phase in
+  List.iter
+    (fun pos ->
+      if not p.applied.(pos) then begin
+        p.applied.(pos) <- true;
+        st.od_applies <- st.od_applies + 1;
+        apply members.(pos)
+      end)
+    positions
+
+(* [pid]'s chain in phase [p], closed over the cross-page records it
+   depends on, in pop order. *)
+let chain p pid = Parallel_redo.closure p.phase (page_members p pid)
 
 (* Replay the redo side of [pid]'s parked chain: the operation-phase
    closure in forward order, then the value-phase closure newest-first.
@@ -998,56 +963,33 @@ let page_members tbl pid = Option.value (Hashtbl.find_opt tbl pid) ~default:[]
    multi-page record. *)
 let ensure_redo t st pid =
   if not (Hashtbl.mem st.od_redo_done pid) then begin
-    List.iter
-      (fun pos ->
-        if not st.od_op_applied.(pos) then begin
-          st.od_op_applied.(pos) <- true;
-          st.od_applies <- st.od_applies + 1;
-          apply_op_redo t st.od_analysis st.od_op_members.(pos)
-        end)
-      (closure st.od_op_preds (page_members st.od_page_ops pid));
-    List.iter
-      (fun pos ->
-        if not st.od_val_applied.(pos) then begin
-          st.od_val_applied.(pos) <- true;
-          st.od_applies <- st.od_applies + 1;
-          apply_value t st.od_analysis st.od_finalized st.od_val_members.(pos)
-        end)
-      (List.rev (closure st.od_val_preds (page_members st.od_page_values pid)));
+    let a = st.od_analysis in
+    apply_unapplied st st.od_op (chain st.od_op pid) ~apply:(apply_op_redo t a);
+    apply_unapplied st st.od_value (chain st.od_value pid)
+      ~apply:(apply_value t a st.od_finalized);
     Hashtbl.replace st.od_redo_done pid ()
   end
 
 (* Undo [pid]'s loser records: history is first repeated on every page
-   a needed undo touches (undo assumes the loser effect is present),
-   then the needed closure is applied newest-first — the serial
-   backward pass restricted to the records that matter for [pid]. *)
+   a needed undo touches, oldest record first (undo assumes the loser
+   effect is present), then the needed closure is applied newest-first
+   — the serial backward pass restricted to the records that matter for
+   [pid]. *)
 let undo_stage t st pid =
-  let needed = closure st.od_undo_preds (page_members st.od_page_undos pid) in
+  let a = st.od_analysis in
+  let needed = chain st.od_undo pid in
+  let members = Parallel_redo.members st.od_undo.phase in
   List.iter
     (fun pos ->
-      List.iter
-        (fun q -> ensure_redo t st q)
-        (record_pages st.od_analysis st.od_undo_members.(pos)))
-    needed;
-  List.iter
-    (fun pos ->
-      if not st.od_undo_applied.(pos) then begin
-        st.od_undo_applied.(pos) <- true;
-        st.od_applies <- st.od_applies + 1;
-        apply_op_undo t st.od_analysis st.od_undo_members.(pos)
-      end)
-    (List.rev needed)
+      List.iter (ensure_redo t st)
+        (Parallel_redo.pages (snd a.records.(members.(pos)))))
+    (List.rev needed);
+  apply_unapplied st st.od_undo needed ~apply:(apply_op_undo t a)
 
 let page_recovered st pid =
   List.for_all
-    (fun pos -> st.od_op_applied.(pos))
-    (page_members st.od_page_ops pid)
-  && List.for_all
-       (fun pos -> st.od_val_applied.(pos))
-       (page_members st.od_page_values pid)
-  && List.for_all
-       (fun pos -> st.od_undo_applied.(pos))
-       (page_members st.od_page_undos pid)
+    (fun p -> List.for_all (fun pos -> p.applied.(pos)) (page_members p pid))
+    [ st.od_op; st.od_value; st.od_undo ]
 
 let recover_page t st pid ~via =
   st.od_owner <- Engine.fiber_id ();
@@ -1100,33 +1042,15 @@ let ondemand_gate t pid =
         if Hashtbl.mem st.od_pending pid then recover_page t st pid ~via:`Fault
       end
 
-(* Every chain is drained: flush the recovered state, close the window
-   with a checkpoint, and reclaim the scanned history exactly as an
-   eager restart would have. The re-appended Paxos acceptor records
-   stay protected until the TM's own floor covers them. *)
+(* Every chain is drained: close the window exactly as an eager restart
+   would have. The re-appended Paxos acceptor records stay protected
+   until the TM's own floor covers them. *)
 let finalize_instant t st =
   t.ondemand <- None;
   Vm.set_on_fault t.vm None;
-  Vm.flush_all t.vm;
-  let ck = checkpoint t in
-  let keep_from =
-    match Log_manager.oldest_first_lsn t.log with
-    | Some first -> min ck first
-    | None -> ck
-  in
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) keep_from
-      (Vm.dirty_pages t.vm)
-  in
-  let keep_from =
-    match st.od_paxos_floor with Some f -> min keep_from f | None -> keep_from
-  in
-  let keep_from =
-    match t.truncation_floor_source () with
-    | Some f -> min keep_from f
-    | None -> keep_from
-  in
-  Log_manager.truncate t.log ~keep_from
+  flush_and_reclaim t
+    ~checkpoint:(fun () -> checkpoint t)
+    ~floor:(fun () -> min_lsn st.od_paxos_floor (t.truncation_floor_source ()))
 
 let trickle_pause = 10_000
 
@@ -1138,24 +1062,21 @@ let rec trickle_loop t st =
   while st.od_owner >= 0 do
     Engine.Waitq.wait st.od_latch
   done;
+  (match
+     Hashtbl.fold
+       (fun pid () best ->
+         let first = Hashtbl.find st.od_page_first pid in
+         match best with
+         | Some (bf, bp) when (bf, bp) <= (first, pid) -> best
+         | Some _ | None -> Some (first, pid))
+       st.od_pending None
+   with
+  | Some (_, pid) -> recover_page t st pid ~via:`Trickle
+  | None -> ());
   if Hashtbl.length st.od_pending = 0 then finalize_instant t st
   else begin
-    (match
-       Hashtbl.fold
-         (fun pid () best ->
-           let first = Hashtbl.find st.od_page_first pid in
-           match best with
-           | Some (bf, bp) when (bf, bp) <= (first, pid) -> best
-           | Some _ | None -> Some (first, pid))
-         st.od_pending None
-     with
-    | Some (_, pid) -> recover_page t st pid ~via:`Trickle
-    | None -> ());
-    if Hashtbl.length st.od_pending = 0 then finalize_instant t st
-    else begin
-      Engine.delay trickle_pause;
-      trickle_loop t st
-    end
+    Engine.delay trickle_pause;
+    trickle_loop t st
   end
 
 (* Restart paths ------------------------------------------------------- *)
@@ -1163,8 +1084,9 @@ let rec trickle_loop t st =
 (* A full (eager) restart: replay everything, then flush, close with a
    checkpoint, and reclaim the scanned prefix so repeated crashes do
    not re-read ever-growing history. Chains of in-doubt transactions
-   must stay walkable for a late Abort verdict, and the closing
-   checkpoint carries them so the next restart can anchor on it. *)
+   must stay walkable for a late Abort verdict, so they floor the
+   truncation, and the closing checkpoint carries them so the next
+   restart can anchor on it. *)
 let recover_full t a ~t0 =
   let replay_start = Engine.now t.engine in
   let replayed = Hashtbl.create 32 in
@@ -1179,11 +1101,11 @@ let recover_full t a ~t0 =
         (* Graph-bounded fan-out: both redo passes drain their
            dependency graphs over [fibers] worker fibers. The undo pass
            below stays serial — it walks loser chains newest-first. *)
-        let g = Parallel_redo.build a.records in
-        Parallel_redo.run_op_phase g t.engine ~node:t.node ~fibers
+        let g = Parallel_redo.build ~loser:(loser a) a.records in
+        Parallel_redo.run t.engine ~node:t.node ~fibers g.op
           ~apply:(apply_op_redo t a);
         let finalized = Obj_set.create 64 in
-        Parallel_redo.run_value_phase g t.engine ~node:t.node ~fibers
+        Parallel_redo.run t.engine ~node:t.node ~fibers g.value
           ~apply:(apply_value t a finalized);
         Some (Parallel_redo.stats g)
   in
@@ -1192,56 +1114,31 @@ let recover_full t a ~t0 =
   let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
   m.Metrics.restart_pages <- m.Metrics.restart_pages + Hashtbl.length replayed;
   let replay_us = Engine.now t.engine - replay_start in
-  let losers, in_doubt, written_objects, chains = resolve_outcome t a in
+  let ((_, in_doubt, _, chains) as resolved) = resolve_outcome t a in
+  let family_first = family_firsts chains in
+  let paxos = ref [] in
   (* Segments must reflect exactly committed + prepared work. *)
-  Vm.flush_all t.vm;
-  Log_manager.force_all t.log;
-  let keep_from =
-    Hashtbl.fold (fun _ (first, _) acc -> min acc first) chains
-      (Log_manager.next_lsn t.log)
-  in
-  let family_first = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun tid (first, _) ->
-      let top = Tid.top_level tid in
-      match Hashtbl.find_opt family_first top with
-      | Some f when f <= first -> ()
-      | Some _ | None -> Hashtbl.replace family_first top first)
-    chains;
-  let ck =
-    Log_manager.append t.log
-      (Record.Checkpoint
-         {
-           dirty_pages = Vm.dirty_pages t.vm;
-           active_txns =
-             List.map
-               (fun (tid, _) -> (tid, Hashtbl.find_opt family_first tid))
-               in_doubt;
-           prepared = in_doubt;
-         })
-  in
-  let paxos =
-    List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
-  in
-  Log_manager.force_all t.log;
-  let keep_from =
-    List.fold_left (fun acc (_, r) -> min acc r) (min keep_from ck)
-      (Vm.dirty_pages t.vm)
-  in
-  Log_manager.truncate t.log ~keep_from;
-  finish_statuses t a;
-  trace_recovered t a ~losers ~in_doubt;
-  {
-    losers;
-    in_doubt;
-    written_objects;
-    records_scanned = Array.length a.records;
-    replay_us;
-    graph;
-    paxos;
-    open_early = false;
-    time_to_open_us = Engine.now t.engine - t0;
-  }
+  flush_and_reclaim t
+    ~checkpoint:(fun () ->
+      Log_manager.force_all t.log;
+      let ck =
+        Log_manager.append t.log
+          (Record.Checkpoint
+             {
+               dirty_pages = Vm.dirty_pages t.vm;
+               active_txns =
+                 List.map
+                   (fun (tid, _) -> (tid, Hashtbl.find_opt family_first tid))
+                   in_doubt;
+               prepared = in_doubt;
+             })
+      in
+      paxos := reappend_paxos t a;
+      ck)
+    ~floor:(fun () ->
+      List.fold_left (fun acc (_, first) -> min_lsn acc (Some first)) None
+        chains);
+  finish t a ~t0 resolved ~replay_us ~graph ~paxos:!paxos ~open_early:false
 
 (* Instant restart: open after analysis. Redo and loser undo are parked
    as per-page chains; the first touch of a page replays its chain
@@ -1251,46 +1148,36 @@ let recover_full t a ~t0 =
    acceptor state — still happens before opening: it costs log appends
    and one force, not replay I/O. *)
 let recover_instant t a ~t0 =
-  let losers, in_doubt, written_objects, chains = resolve_outcome t a in
-  ignore chains;
-  let paxos =
-    List.map (fun r -> (Log_manager.append t.log r, r)) (condense_paxos a)
+  let resolved = resolve_outcome t a in
+  let paxos = reappend_paxos t a in
+  let g = Parallel_redo.build ~loser:(loser a) a.records in
+  let st =
+    build_ondemand a g
+      ~paxos_floor:
+        (List.fold_left (fun acc (lsn, _) -> min_lsn acc (Some lsn)) None paxos)
   in
-  Log_manager.force_all t.log;
-  let g = Parallel_redo.build a.records in
-  let st = build_ondemand a g in
-  st.od_paxos_floor <-
-    List.fold_left
-      (fun acc (lsn, _) ->
-        match acc with Some f when f <= lsn -> acc | _ -> Some lsn)
-      None paxos;
   t.ondemand <- Some st;
   Vm.set_on_fault t.vm (Some (fun pid -> ondemand_gate t pid));
   ignore (Engine.spawn t.engine ~node:t.node (fun () -> trickle_loop t st));
   let m = Metrics.recovery (Engine.metrics t.engine) ~node:t.node in
   m.Metrics.pending_pages <- Hashtbl.length st.od_pending;
-  finish_statuses t a;
-  trace_recovered t a ~losers ~in_doubt;
-  {
-    losers;
-    in_doubt;
-    written_objects;
-    records_scanned = Array.length a.records;
-    replay_us = 0;
-    graph = Some (Parallel_redo.stats g);
-    paxos;
-    open_early = true;
-    time_to_open_us = Engine.now t.engine - t0;
-  }
+  finish t a ~t0 resolved ~replay_us:0 ~graph:(Some (Parallel_redo.stats g))
+    ~paxos ~open_early:true
+
+(* Hold reclamation off while the chain table is incomplete (see
+   [recovering]). *)
+let set_recovering t on =
+  t.recovering <- on;
+  Option.iter (fun cp -> Checkpointer.hold cp on) t.checkpointer
 
 let recover ?anchored t =
   let t0 = Engine.now t.engine in
-  t.recovering <- true;
+  set_recovering t true;
   let a = analyze ?anchored t in
   let outcome =
     if t.instant then recover_instant t a ~t0 else recover_full t a ~t0
   in
-  t.recovering <- false;
+  set_recovering t false;
   ignore (Engine.Waitq.signal_all t.open_q ~engine:t.engine ());
   outcome
 

@@ -122,7 +122,9 @@ type recovery_outcome = {
     behind the {!Tabs_accent.Vm} access gate and drained by a
     background trickle fiber oldest-chain-first; it also turns on
     dependency-record emission (the chains come from the same phase
-    graphs parallel recovery schedules). Off, nothing changes: no gate
+    graphs parallel recovery schedules). With it on, the
+    [?parallel_recovery] fiber count is unused and only that option's
+    dependency emission takes effect. Off, nothing changes: no gate
     is installed and the restart path is byte-identical. *)
 val create :
   Tabs_sim.Engine.t ->
@@ -296,9 +298,11 @@ val await_open : t -> unit
 
 (** [set_apply_hook t (Some f)] installs test instrumentation: [f] is
     called, in application order, for every redo or undo actually
-    applied by {!recover} — [~phase] is ["op_redo"], ["value_redo"],
-    ["value_undo"], or ["op_undo"] — from both the serial and the
-    parallel replay paths. [None] (the default) costs nothing. *)
+    applied by restart recovery — [~phase] is ["op_redo"], ["value_redo"],
+    ["value_undo"], or ["op_undo"] — from every replay path: the
+    serial and parallel eager passes, and instant restart's on-demand
+    and trickle replays after the node opened. [None] (the default)
+    costs nothing. *)
 val set_apply_hook :
   t -> (phase:string -> lsn:Tabs_wal.Record.lsn -> unit) option -> unit
 

@@ -624,9 +624,24 @@ let start_orphan_watchdog t top =
 
 (* Runs in a datagram-handler fiber when a Prepare arrives from the
    spanning-tree parent: recursively prepares this node's subtree and
-   votes upward. *)
+   votes upward.
+
+   A Prepare for a family this incarnation has no trace of — never
+   joined here, no spanning-tree entry, no recorded outcome, not in
+   doubt — means the family's work here died in a crash before it was
+   prepared (recovery rolled it back, or it only read and its locks are
+   gone). A Prepare reaches each participant at most once — datagrams
+   are never duplicated — so no earlier vote can stand against this one.
+   Presumed abort: vote No. Voting Read_only, or Yes, would let the
+   coordinator commit without the lost write. *)
 let handle_prepare t top ~src =
   if tracing t then emit t (Prepare_received { node = t.node_id; tid = top; src });
+  let known =
+    Hashtbl.mem t.joined top
+    || Comm_mgr.has_tree t.cm top
+    || Hashtbl.mem t.outcomes top
+    || Hashtbl.mem t.participants top
+  in
   Engine.charge_cpu t.engine ~process:"tm" Overheads.tm_commit_write;
   let children = Comm_mgr.children_of t.cm top in
   let g = new_gather () t.gathers top children in
@@ -655,9 +670,9 @@ let handle_prepare t top ~src =
       emit t (Vote_sent { node = t.node_id; tid = top; dest = src; vote });
     Comm_mgr.send_datagram t.cm ~dest:src (Tm_vote (top, vote))
   in
-  if g.any_no || not local_ok then begin
+  if g.any_no || (not local_ok) || not known then begin
     let reason =
-      if not local_ok then Trace.Vote_no
+      if (not local_ok) || not known then Trace.Vote_no
       else if g.timed_out then Trace.Comm_failure
       else Trace.Vote_no
     in

@@ -58,6 +58,7 @@ type t = {
   last_writer : (Object_id.t, Tid.t * lsn) Hashtbl.t;
       (* last update (writer tid, LSN) per object, making dependency
          emission O(objects touched); pruned at truncation *)
+  mutable prune_floor : lsn option; (* of the last checkpoint-time prune *)
   mutable deps_emitted : int;
 }
 
@@ -80,6 +81,7 @@ let attach engine stable =
     device_free_at = 0;
     dep_logging = false;
     last_writer = Hashtbl.create 64;
+    prune_floor = None;
     deps_emitted = 0;
   }
 
@@ -347,10 +349,14 @@ let dep_aligned_keep_from t ~keep_from =
    Dropping the entry merely skips emitting an edge that replay would
    discard anyway. *)
 let prune_last_writer t ~floor =
-  if t.dep_logging then
+  if t.dep_logging then begin
+    t.prune_floor <- Some floor;
     Hashtbl.filter_map_inplace
       (fun _ ((_, lsn) as v) -> if lsn < floor then None else Some v)
       t.last_writer
+  end
+
+let prune_floor t = t.prune_floor
 
 let last_writer_size t = Hashtbl.length t.last_writer
 

@@ -95,6 +95,10 @@ val deps_emitted : t -> int
     dependency logging is off. *)
 val prune_last_writer : t -> floor:lsn -> unit
 
+(** The [floor] of the last {!prune_last_writer} that ran with
+    dependency logging on; [None] before the first. *)
+val prune_floor : t -> lsn option
+
 (** Current entry count of the last-writer table (statistics). *)
 val last_writer_size : t -> int
 

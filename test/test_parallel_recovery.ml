@@ -202,6 +202,55 @@ let test_truncation_never_splits_the_pair () =
   Alcotest.(check int) "truncate applies the alignment" d.Record.update_lsn
     (Log_manager.first_lsn rig.log)
 
+(* The floor a fuzzy checkpoint prunes the last-writer table below is
+   exactly where the next restart's anchored analysis starts reading —
+   whichever source pins it: a live family's first update, a dirty
+   page's recovery LSN, or the checkpoint record itself. *)
+let test_prune_floor_is_next_scan_start () =
+  let check ~what ~below_checkpoint setup =
+    let rig = make_rig ~parallel_recovery:Parallel_redo.default () in
+    let ck =
+      run_fiber rig (fun () ->
+          setup rig;
+          Recovery_mgr.checkpoint rig.rm)
+    in
+    let floor = Option.get (Log_manager.prune_floor rig.log) in
+    Alcotest.(check bool) (what ^ ": pinned below the checkpoint")
+      below_checkpoint (floor < ck);
+    let engine = Engine.create () in
+    let vm =
+      Vm.attach engine (Disk.copy rig.disk ~engine) ~frames:(2 * pages) ()
+    in
+    let log = Log_manager.attach engine (Stable.copy rig.stable) in
+    let rm =
+      Recovery_mgr.create engine ~node:0 ~log ~vm
+        ~parallel_recovery:Parallel_redo.default ()
+    in
+    register_counter rm vm;
+    let stable_next = Log_manager.flushed_lsn log in
+    let out = ref None in
+    ignore
+      (Engine.spawn engine (fun () -> out := Some (Recovery_mgr.recover rm)));
+    ignore (Engine.run engine);
+    let scan_start = stable_next - (Option.get !out).records_scanned in
+    Alcotest.(check int) what scan_start floor
+  in
+  let t1 = Tid.top ~node:0 ~seq:1 and t2 = Tid.top ~node:0 ~seq:2 in
+  check ~what:"pinned by a live family" ~below_checkpoint:true (fun rig ->
+      write_op rig t1 0 1 ~reads:[];
+      commit rig t1;
+      write_op rig t2 cells_per_page 2 ~reads:[ 0 ];
+      Vm.flush_all rig.vm);
+  check ~what:"pinned by a dirty page" ~below_checkpoint:true (fun rig ->
+      write_value rig t1 0 (v8 "a");
+      commit rig t1;
+      write_value rig t2 0 (v8 "b");
+      commit rig t2);
+  check ~what:"at the checkpoint itself" ~below_checkpoint:false (fun rig ->
+      write_value rig t1 0 (v8 "a");
+      commit rig t1;
+      Vm.flush_all rig.vm)
+
 (* --- lockstep and speedup ------------------------------------------- *)
 
 (* A mixed workload: operation-logged counters with cross-page read
@@ -476,6 +525,8 @@ let suites =
         quick "read conflict crosses pages" test_read_conflict_crosses_pages;
         quick "truncation never splits the pair"
           test_truncation_never_splits_the_pair;
+        quick "prune floor = next scan start"
+          test_prune_floor_is_next_scan_start;
         quick "one fiber = serial, record for record"
           test_one_fiber_is_serial_record_for_record;
         quick "more fibers: same state, less time"

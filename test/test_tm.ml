@@ -120,6 +120,73 @@ let test_unique_tids () =
   let unique = List.sort_uniq Tabs_wal.Tid.compare tids in
   Alcotest.(check int) "globally unique" (List.length tids) (List.length unique)
 
+(* A participant writes, crashes before the Prepare reaches it, and
+   restarts: recovery rolls its write back, so its new incarnation has
+   no trace of the family. Presumed abort: it must vote No — voting
+   Read_only (or Yes with the optimization off) lets the coordinator
+   commit without the lost write. The family aborts everywhere and no
+   replica holds its write. *)
+let crashed_participant_votes_no ~commit_protocol ~read_only_optimization =
+  let nodes =
+    match commit_protocol with
+    | Commit_protocol.Paxos _ -> 3 (* acceptors on nodes 0..2 *)
+    | Commit_protocol.Two_phase -> 2
+  in
+  let c = Cluster.create ~nodes ~commit_protocol ~read_only_optimization () in
+  let array_on env id =
+    Int_array_server.create env ~name:(Printf.sprintf "a%d" id) ~segment:1
+      ~cells:64 ()
+  in
+  let arrays =
+    List.map
+      (fun node -> array_on (Node.env node) (Node.id node))
+      (Cluster.nodes c)
+  in
+  let n0 = Cluster.node c 0 and n1 = Cluster.node c 1 in
+  let tm = Node.tm n0 in
+  let tid = ref None in
+  Cluster.spawn c ~node:0 (fun () ->
+      let t = Txn_lib.begin_transaction tm () in
+      Int_array_server.set (List.hd arrays) t 0 5;
+      Int_array_server.call_set (Node.rpc n0) ~dest:1 ~server:"a1" t 0 6;
+      tid := Some t);
+  Cluster.run_until c ~time:1_000_000;
+  let tid = Option.get !tid in
+  Node.crash n1;
+  let a1 = ref None in
+  ignore
+    (Cluster.run_fiber c ~node:1 (fun () ->
+         Node.restart n1
+           ~reinstall:(fun env -> a1 := Some (array_on env 1))
+           ()));
+  let committed =
+    Cluster.run_fiber c ~node:0 (fun () -> Txn_lib.end_transaction tm tid)
+  in
+  Alcotest.(check bool) "the family aborts" false committed;
+  let read node arr =
+    Cluster.run_fiber c ~node:(Node.id node) (fun () ->
+        Txn_lib.execute_transaction (Node.tm node) (fun t ->
+            Int_array_server.get arr t 0))
+  in
+  Alcotest.(check (pair int int))
+    "no replica holds the write" (0, 0)
+    (read n0 (List.hd arrays), read n1 (Option.get !a1));
+  List.iter
+    (fun node ->
+      Alcotest.(check int)
+        (Printf.sprintf "nothing in doubt on node %d" (Node.id node))
+        0
+        (List.length (Txn_mgr.in_doubt (Node.tm node))))
+    (Cluster.nodes c)
+
+(* with the read-only optimization on, the lost participant would vote
+   Read_only; with it off, Yes *)
+let test_crashed_participant_votes_no commit_protocol () =
+  List.iter
+    (fun read_only_optimization ->
+      crashed_participant_votes_no ~commit_protocol ~read_only_optimization)
+    [ true; false ]
+
 let suites =
   [
     ( "tm",
@@ -131,5 +198,9 @@ let suites =
         quick "active txns" test_active_txns_reported;
         quick "commit after abort" test_commit_after_abort_refused;
         quick "unique tids" test_unique_tids;
+        quick "participant crashed before prepare votes No (2PC)"
+          (test_crashed_participant_votes_no Commit_protocol.Two_phase);
+        quick "participant crashed before prepare votes No (Paxos)"
+          (test_crashed_participant_votes_no (Commit_protocol.Paxos { f = 1 }));
       ] );
   ]
