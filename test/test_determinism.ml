@@ -21,8 +21,8 @@ let server_name dest = Printf.sprintf "a%d" dest
 
 (* One lossy-commit run; returns every observable artifact rendered to
    strings so the two modes can be compared byte-for-byte. *)
-let fingerprint ~loss ~seed () =
-  let c = Cluster.create ~nodes ~seed () in
+let fingerprint ?commit_protocol ~loss ~seed () =
+  let c = Cluster.create ?commit_protocol ~nodes ~seed () in
   List.iter
     (fun node ->
       ignore
@@ -317,6 +317,54 @@ let test_recovery_identical () =
         events_b events_f)
     [ 2; 7 ]
 
+(* Goldens: pinned digests of the fingerprints above. The tests above
+   prove both sim modes produce the same fingerprint, so these hold in
+   whichever mode runs; any change to the commit, restart or sim-core
+   paths that alters one observable byte (trace line, metric, virtual
+   time or event count) fails here. *)
+let digest (trace, summary, now, events) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n" trace ^ Printf.sprintf "\n%s\n%d\n%d" summary now events))
+
+let goldens =
+  let two_phase = Tabs_tm.Commit_protocol.Two_phase
+  and paxos = Tabs_tm.Commit_protocol.Paxos { f = 1 } in
+  let commit commit_protocol ~loss ~seed =
+    fingerprint ~commit_protocol ~loss ~seed
+  in
+  [
+    ("2pc lossy seed 1", commit two_phase ~loss:0.20 ~seed:1,
+     "5afea24eed51b9cf32cbc4b673d32f60");
+    ("2pc lossy seed 5", commit two_phase ~loss:0.20 ~seed:5,
+     "a8c188f5acbf2bf08b2b568c88050fdd");
+    ("2pc lossy seed 9", commit two_phase ~loss:0.20 ~seed:9,
+     "e7ac8617bddc93a4c9642430228ed168");
+    ("2pc lossless seed 3", commit two_phase ~loss:0.0 ~seed:3,
+     "b17bba2e89de5c91dc62c7019e168ce9");
+    ("paxos lossy seed 1", commit paxos ~loss:0.20 ~seed:1,
+     "499129ca2588cad344f1d9e0e771e708");
+    ("paxos lossy seed 5", commit paxos ~loss:0.20 ~seed:5,
+     "853ea1f454e1cdb3fa4b05a00374cee7");
+    ("paxos lossy seed 9", commit paxos ~loss:0.20 ~seed:9,
+     "a48e54437f6c41c7a3e4fa85266bbc18");
+    ("paxos lossless seed 3", commit paxos ~loss:0.0 ~seed:3,
+     "83f43b0ca889cae7904d4f114c680b93");
+    ("recovery seed 2", recovery_fingerprint ~seed:2,
+     "2312754bcd32f259c5425555e305a369");
+    ("recovery seed 7", recovery_fingerprint ~seed:7,
+     "7faaacffe9a0f923e1b5be6808c80fe5");
+    ("instant seed 2", instant_fingerprint ~seed:2,
+     "9c139dbbecda2d05f59e1f88df891c0e");
+    ("instant seed 7", instant_fingerprint ~seed:7,
+     "5607f357ce0e46729f13e6030d128b38");
+  ]
+
+let test_goldens () =
+  List.iter
+    (fun (name, run, want) -> Alcotest.(check string) name want (digest (run ())))
+    goldens
+
 let quick name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -330,5 +378,6 @@ let suites =
           test_recovery_identical;
         quick "fast = baseline on instant restart under traffic"
           test_instant_identical;
+        quick "fingerprints match pinned goldens" test_goldens;
       ] );
   ]
