@@ -75,7 +75,7 @@ type out_session = {
   mutable attempts : int;
   mutable cur_rto : int;
       (* current retransmission timeout: base rto, doubled per barren
-         retransmission up to rto_max, reset when an ack makes progress *)
+         retransmission up to 8x the base, reset when an ack makes progress *)
 }
 
 type in_session = { mutable expected : int; mutable incarnation : int }
@@ -111,7 +111,6 @@ type t = {
   net : Network.t;
   node_id : int;
   rto : int;
-  rto_max : int;
   retries : int;
   resend_burst : int;
   batching : batching option;
@@ -508,7 +507,7 @@ and on_timer t ~dest s =
       (* Exponential backoff: under sustained loss or a dead peer, each
          barren round doubles the wait instead of flooding the wire at a
          fixed cadence. An ack that makes progress resets the timeout. *)
-      s.cur_rto <- min (2 * s.cur_rto) t.rto_max;
+      s.cur_rto <- min (2 * s.cur_rto) (8 * t.rto);
       arm_timer t ~dest s
     end
   end
@@ -713,17 +712,13 @@ let set_failure_handler t f = t.failure_handler <- f
 
 let set_remote_involvement_handler t f = t.remote_involvement <- f
 
-let create net ~node ?(session_rto = 100_000) ?session_rto_max
-    ?(session_retries = 8) ?(session_resend_burst = 8) ?batching () =
-  let rto_max =
-    match session_rto_max with Some m -> max m session_rto | None -> 8 * session_rto
-  in
+let create net ~node ?(session_rto = 100_000) ?(session_retries = 8)
+    ?(session_resend_burst = 8) ?batching () =
   let t =
     {
       net;
       node_id = node;
       rto = session_rto;
-      rto_max;
       retries = session_retries;
       resend_burst = max 1 session_resend_burst;
       batching;
@@ -745,13 +740,7 @@ let create net ~node ?(session_rto = 100_000) ?session_rto_max
   Network.register net ~node ~channel:Network.Datagram (fun ~src payload ->
       if t.alive then
         match payload with
-        | Coalesced frames ->
-            List.iter
-              (fun frame ->
-                ignore
-                  (Engine.spawn (engine t) ~node:t.node_id (fun () ->
-                       dispatch_frame t ~src frame)))
-              frames
+        | Coalesced _ -> dispatch_wire t ~src payload
         | _ ->
             List.iter (fun handler -> handler ~src payload) t.datagram_handlers);
   Network.register net ~node ~channel:Network.Broadcast (fun ~src payload ->

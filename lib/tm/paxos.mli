@@ -111,7 +111,8 @@ val await_quorum :
 
 (** [announce t tid ~committed] records the coordinator's fast-path
     decision and multicasts it to the acceptors. No log force needed:
-    the accept quorums are already stable. *)
+    the accept quorums are already stable. Called on [tid]'s own
+    (coordinator) node. *)
 val announce : t -> Tabs_wal.Tid.t -> committed:bool -> unit
 
 (** [resolve_as_coordinator t tid] — a coordinator whose vote phase

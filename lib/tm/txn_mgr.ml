@@ -90,15 +90,12 @@ type t = {
   cm : Comm_mgr.t;
   commit_protocol : Commit_protocol.t;
   mutable px : Paxos.t option; (* Some iff commit_protocol is Paxos *)
-  vote_timeout : int;
   read_only_optimization : bool;
   mutable ready : bool;
       (* false while a restart is replaying the log: a mid-recovery "no
          record of that transaction" is not "no transaction", so status
          queries must wait for {!recover} to finish *)
   mutable resolutions_abandoned : int;
-  checkpoint_interval : int;
-      (* commits between the checkpoints this TM asks of the RM *)
   mutable commits_since_checkpoint : int;
   mutable distributed_commits : int;
       (* committed tree 2PC rounds this TM coordinated (bench accounting) *)
@@ -112,6 +109,14 @@ type t = {
   acks : (Tid.t, gather) Hashtbl.t; (* ack collection in flight *)
   participants : (Tid.t, participant) Hashtbl.t; (* prepared, in doubt *)
 }
+
+(* How long a node waits for its children's votes or acks (and, under
+   Paxos Commit, the coordinator for the acceptors' quorum) before
+   treating silence as a crash. *)
+let vote_timeout = 2_000_000
+
+(* Commits between the checkpoints this TM asks of the RM. *)
+let checkpoint_interval = 50
 
 let node t = t.node_id
 
@@ -208,6 +213,7 @@ let family_wrote_locally t tid =
   Log_manager.chained_tids_of_family (Recovery_mgr.log t.rm) tid <> []
 
 let forget t top =
+  Option.iter (fun px -> Paxos.end_leader px top) t.px;
   Hashtbl.remove t.joined top;
   Hashtbl.remove t.gathers top;
   Hashtbl.remove t.acks top;
@@ -229,6 +235,9 @@ let local_votes_ok t top =
       small t;
       ok)
     (joined_servers t top)
+
+let force_record t record =
+  Recovery_mgr.force_through t.rm (Recovery_mgr.append_tm_record t.rm record)
 
 (* Vote gathering ------------------------------------------------------ *)
 
@@ -264,13 +273,35 @@ let gather_note t table top src verdict =
 let wait_gather t g =
   if g.awaiting <> [] then
     match
-      Engine.Waitq.wait_timeout g.signal ~engine:t.engine ~timeout:t.vote_timeout
+      Engine.Waitq.wait_timeout g.signal ~engine:t.engine ~timeout:vote_timeout
     with
     | Some () -> ()
     | None ->
         (* a silent child is presumed crashed *)
         g.any_no <- true;
         g.timed_out <- true
+
+(* Phase one down this node's subtree, shared by the root and every
+   subordinate: prepare the children, run the local vote ([cast] sees
+   its result before the children's votes are awaited), then gather. *)
+let phase_one t top ~children ~cast =
+  let g = new_gather () t.gathers top children in
+  if tracing t then
+    emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
+  Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
+  let local_ok = local_votes_ok t top in
+  cast local_ok;
+  wait_gather t g;
+  Hashtbl.remove t.gathers top;
+  (g, local_ok)
+
+(* Why phase one failed, if it did: a No anywhere — this node's servers
+   or a child's vote — is a vote; a child that never answered is a
+   communication failure. *)
+let abort_reason g ~local_ok =
+  if local_ok && g.timed_out then Some Trace.Comm_failure
+  else if g.any_no || not local_ok then Some Trace.Vote_no
+  else None
 
 (* Outcome distribution down the tree. Phase-2 COMMIT/ABORT datagrams
    go through the Communication Manager's datagram path: with comm
@@ -291,13 +322,21 @@ let propagate_outcome t top outcome ~to_nodes =
           (Verdict_sent { node = t.node_id; tid = top; outcome; dests = nodes });
       Comm_mgr.send_datagrams_parallel t.cm ~dests:nodes payload
 
+(* Phase two down this node's subtree: send the verdict and wait for the
+   children's acks. *)
+let push_verdict t top outcome ~children =
+  let a = new_gather () t.acks top children in
+  propagate_outcome t top outcome ~to_nodes:children;
+  wait_gather t a;
+  Hashtbl.remove t.acks top
+
 (* "Checkpoints are performed at intervals determined by the
    transaction manager or when the system is close to running out of
    log space" (Section 3.2.2): count commits and periodically ask the
    Recovery Manager for a checkpoint plus, if needed, reclamation. *)
 let maybe_periodic_checkpoint t =
   t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
-  if t.commits_since_checkpoint >= t.checkpoint_interval then begin
+  if t.commits_since_checkpoint >= checkpoint_interval then begin
     t.commits_since_checkpoint <- 0;
     ignore
       (Engine.spawn t.engine ~node:t.node_id (fun () ->
@@ -308,6 +347,13 @@ let maybe_periodic_checkpoint t =
 let record_outcome t top outcome =
   Hashtbl.replace t.outcomes top outcome;
   if outcome = Committed then maybe_periodic_checkpoint t
+
+(* A commit decided at this node, the coordinator of its tree. *)
+let note_commit t top ~distributed =
+  if distributed then t.distributed_commits <- t.distributed_commits + 1;
+  record_outcome t top Committed;
+  if tracing t then emit t (Txn_commit { node = t.node_id; tid = top; distributed });
+  notify_local_servers t top Committed
 
 (* Abort of a top-level transaction (local part + propagation). *)
 let abort_top t top ~children ~reason =
@@ -321,15 +367,20 @@ let abort_top t top ~children ~reason =
     propagate_outcome t top Aborted ~to_nodes:children
   end
 
-(* The purely local commit path: no remote spread was recorded. *)
-let commit_local t top =
+(* The commit request and the TM and RM processing every top-level
+   commit pays; returns whether the family wrote at this node. *)
+let begin_commit t top =
   small t;
-  (* commit request *)
   let wrote = family_wrote_locally t top in
   Engine.charge_cpu t.engine ~process:"tm"
     (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
   Engine.charge_cpu t.engine ~process:"rm"
     (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
+  wrote
+
+(* The purely local commit path: no remote spread was recorded. *)
+let commit_local t top =
+  let wrote = begin_commit t top in
   if not (local_votes_ok t top) then begin
     abort_top t top ~children:[] ~reason:Trace.Vote_no;
     forget t top;
@@ -338,94 +389,17 @@ let commit_local t top =
     Aborted
   end
   else begin
-    if wrote then begin
-      let lsn = Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top) in
-      Recovery_mgr.force_through t.rm lsn
-    end;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = false });
-    notify_local_servers t top Committed;
+    if wrote then force_record t (Record.Txn_commit top);
+    note_commit t top ~distributed:false;
     forget t top;
     small t;
     Committed
   end
 
-(* Tree two-phase commit, coordinator side (the root). *)
-let commit_distributed t top =
-  small t;
-  let wrote = family_wrote_locally t top in
-  Engine.charge_cpu t.engine ~process:"tm"
-    (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
-  Engine.charge_cpu t.engine ~process:"rm"
-    (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
-  let children = Comm_mgr.children_of t.cm top in
-  let g = new_gather () t.gathers top children in
-  if tracing t then
-    emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
-  Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
-  let local_ok = local_votes_ok t top in
-  wait_gather t g;
-  Hashtbl.remove t.gathers top;
-  if g.any_no || not local_ok then begin
-    let reason =
-      if not local_ok then Trace.Vote_no
-      else if g.timed_out then Trace.Comm_failure
-      else Trace.Vote_no
-    in
-    abort_top t top ~children ~reason;
-    forget t top;
-    small t;
-    Aborted
-  end
-  else if t.read_only_optimization && (not wrote) && g.all_read_only then begin
-    (* Whole tree read-only: one phase suffices; subordinates already
-       released their locks when they voted Read_only. *)
-    t.distributed_commits <- t.distributed_commits + 1;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-    notify_local_servers t top Committed;
-    forget t top;
-    small t;
-    Committed
-  end
-  else begin
-    let lsn = Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top) in
-    Recovery_mgr.force_through t.rm lsn;
-    t.distributed_commits <- t.distributed_commits + 1;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-    notify_local_servers t top Committed;
-    (* Second phase goes only to children that held updates. The
-       transaction is decided once the commit record is stable, so on an
-       Integrated node the outcome distribution overlaps with succeeding
-       transactions (Section 5.3's optimized commit protocol) in a
-       background fiber; the Classic prototype kept it on the caller's
-       critical path, as the paper measured. *)
-    let phase_two () =
-      let a = new_gather () t.acks top children in
-      propagate_outcome t top Committed ~to_nodes:children;
-      wait_gather t a;
-      Hashtbl.remove t.acks top;
-      ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_end top));
-      forget t top
-    in
-    (match t.profile with
-    | Profile.Classic -> phase_two ()
-    | Profile.Integrated ->
-        ignore (Engine.spawn t.engine ~node:t.node_id phase_two));
-    small t;
-    Committed
-  end
-
-(* Tree commit, coordinator side, under Paxos Commit. The spanning tree
-   and both phases are unchanged — prepares flow down, votes flow up,
-   the verdict flows down — but root-level participants additionally
+(* Paxos Commit's decision point. Root-level participants have also
    multicast their votes to the 2F+1 acceptors as ballot-0 accepts, and
-   the decision point moves from "coordinator's commit record forced"
-   to "every instance holds F+1 Prepared accepts". Two consequences:
+   the transaction is decided once every instance holds F+1 Prepared
+   accepts. Two consequences:
 
    - the coordinator appends its commit record {e unforced}: the
      outcome is already quorum-durable at the acceptors, and a takeover
@@ -437,105 +411,109 @@ let commit_distributed t top =
      resolved by running a real ballot. An explicit No is still an
      immediate abort — the No voter never cast Prepared, so no ballot
      can ever choose Commit. *)
-let commit_paxos t px top =
-  small t;
-  let wrote = family_wrote_locally t top in
-  Engine.charge_cpu t.engine ~process:"tm"
-    (Overheads.tm_local_readonly + if wrote then Overheads.tm_commit_write else 0);
-  Engine.charge_cpu t.engine ~process:"rm"
-    (Overheads.rm_local_readonly + if wrote then Overheads.rm_commit_write else 0);
-  let children = Comm_mgr.children_of t.cm top in
-  Paxos.begin_leader px top ~parts:(t.node_id :: children);
-  let g = new_gather () t.gathers top children in
-  if tracing t then
-    emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
-  Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
-  let local_ok = local_votes_ok t top in
-  (* the coordinator's own instance: force the prepare first (a vote
-     must never outlive the updates it promises), then cast *)
-  if local_ok && wrote then begin
-    let lsn =
-      Recovery_mgr.append_tm_record t.rm (Record.Txn_prepare (top, t.node_id))
-    in
-    Recovery_mgr.force_through t.rm lsn
-  end;
-  Paxos.cast_vote px top ~part:t.node_id ~yes:local_ok;
-  wait_gather t g;
-  Hashtbl.remove t.gathers top;
-  let finish_abort ~reason ~announce =
-    if announce then Paxos.announce px top ~committed:false;
-    abort_top t top ~children ~reason;
-    Paxos.end_leader px top;
-    forget t top;
-    small t;
-    Aborted
-  in
-  let finish_commit ~forced =
-    if not forced then
-      ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top));
+let paxos_verdict t px top ~failure ~read_only =
+  let commit () =
+    ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_commit top));
     Paxos.announce px top ~committed:true;
-    t.distributed_commits <- t.distributed_commits + 1;
-    record_outcome t top Committed;
-    if tracing t then
-      emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-    notify_local_servers t top Committed;
-    let phase_two () =
-      let a = new_gather () t.acks top children in
-      propagate_outcome t top Committed ~to_nodes:children;
-      wait_gather t a;
-      Hashtbl.remove t.acks top;
-      ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_end top));
-      Paxos.end_leader px top;
-      forget t top
-    in
-    (match t.profile with
-    | Profile.Classic -> phase_two ()
-    | Profile.Integrated ->
-        ignore (Engine.spawn t.engine ~node:t.node_id phase_two));
-    small t;
-    Committed
+    `Commit
+  in
+  let vote_no () =
+    (* tell the acceptors, so in-doubt queries are answerable at once *)
+    Paxos.announce px top ~committed:false;
+    `Abort Trace.Vote_no
+  in
+  let ballot () =
+    if Paxos.resolve_as_coordinator px top then commit ()
+    else `Abort Trace.Comm_failure
   in
   (* a takeover beat us to a verdict while we gathered votes? *)
-  match Paxos.decision_of px top with
-  | Some true -> finish_commit ~forced:false
-  | Some false -> finish_abort ~reason:Trace.Comm_failure ~announce:false
-  | None ->
-      if (g.any_no && not g.timed_out) || not local_ok then
-        (* an explicit No somewhere: abort directly, and tell the
-           acceptors so in-doubt queries are answerable at once *)
-        finish_abort ~reason:Trace.Vote_no ~announce:true
-      else if g.timed_out then begin
-        (* silence: resolve through a ballot, never unilaterally *)
-        let committed = Paxos.resolve_as_coordinator px top in
-        if committed then finish_commit ~forced:false
-        else finish_abort ~reason:Trace.Comm_failure ~announce:false
-      end
-      else if t.read_only_optimization && (not wrote) && g.all_read_only then begin
-        (* whole tree read-only: one phase, nothing durable at stake *)
-        Paxos.announce px top ~committed:true;
-        t.distributed_commits <- t.distributed_commits + 1;
-        record_outcome t top Committed;
-        if tracing t then
-          emit t (Txn_commit { node = t.node_id; tid = top; distributed = true });
-        notify_local_servers t top Committed;
-        Paxos.end_leader px top;
+  match (Paxos.decision_of px top, failure) with
+  | Some true, _ -> commit ()
+  | Some false, _ -> `Abort Trace.Comm_failure
+  | None, Some Trace.Comm_failure -> ballot ()
+  | None, Some _ -> vote_no ()
+  | None, None when read_only ->
+      (* whole tree read-only: one phase, nothing durable at stake *)
+      Paxos.announce px top ~committed:true;
+      `Read_only
+  | None, None -> (
+      match Paxos.await_quorum px top ~timeout:vote_timeout with
+      | `Commit | `Decided true -> commit ()
+      | `Abort | `Decided false -> vote_no ()
+      | `Timeout ->
+          (* votes arrived but accept confirmations did not — fewer
+             than F+1 acceptors reachable. Paxos blocks here, by
+             design: resolve through a ballot when quorum returns. *)
+          ballot ())
+
+(* Tree commit, coordinator side (the root), under either protocol.
+   Prepares flow down, votes flow up and the verdict flows down the
+   same spanning tree; only the decision point differs. Under 2PC the
+   decision is the forced commit record; under Paxos Commit it is
+   {!paxos_verdict}. *)
+let commit_distributed t top =
+  let wrote = begin_commit t top in
+  let children = Comm_mgr.children_of t.cm top in
+  Option.iter
+    (fun px -> Paxos.begin_leader px top ~parts:(t.node_id :: children))
+    t.px;
+  let g, local_ok =
+    phase_one t top ~children ~cast:(fun ok ->
+        Option.iter
+          (fun px ->
+            (* the coordinator's own instance: force the prepare first
+               (a vote must never outlive the updates it promises),
+               then cast *)
+            if ok && wrote then
+              force_record t (Record.Txn_prepare (top, t.node_id));
+            Paxos.cast_vote px top ~part:t.node_id ~yes:ok)
+          t.px)
+  in
+  let failure = abort_reason g ~local_ok in
+  (* Whole tree read-only: one phase suffices; subordinates already
+     released their locks when they voted Read_only. *)
+  let read_only = t.read_only_optimization && (not wrote) && g.all_read_only in
+  let verdict =
+    match (t.px, failure) with
+    | Some px, _ -> paxos_verdict t px top ~failure ~read_only
+    | None, Some reason -> `Abort reason
+    | None, None when read_only -> `Read_only
+    | None, None ->
+        force_record t (Record.Txn_commit top);
+        `Commit
+  in
+  let outcome =
+    match verdict with
+    | `Abort reason ->
+        abort_top t top ~children ~reason;
         forget t top;
-        small t;
+        Aborted
+    | `Read_only ->
+        note_commit t top ~distributed:true;
+        forget t top;
         Committed
-      end
-      else begin
-        match Paxos.await_quorum px top ~timeout:t.vote_timeout with
-        | `Commit | `Decided true -> finish_commit ~forced:false
-        | `Abort | `Decided false ->
-            finish_abort ~reason:Trace.Vote_no ~announce:true
-        | `Timeout ->
-            (* votes arrived but accept confirmations did not — fewer
-               than F+1 acceptors reachable. Paxos blocks here, by
-               design: resolve through a ballot when quorum returns. *)
-            let committed = Paxos.resolve_as_coordinator px top in
-            if committed then finish_commit ~forced:false
-            else finish_abort ~reason:Trace.Comm_failure ~announce:false
-      end
+    | `Commit ->
+        note_commit t top ~distributed:true;
+        (* Second phase goes only to children that held updates. The
+           transaction is decided once the commit record is stable (or,
+           under Paxos Commit, quorum-durable), so on an Integrated node
+           the outcome distribution overlaps with succeeding
+           transactions (Section 5.3's optimized commit protocol) in a
+           background fiber; the Classic prototype kept it on the
+           caller's critical path, as the paper measured. *)
+        let phase_two () =
+          push_verdict t top Committed ~children;
+          ignore (Recovery_mgr.append_tm_record t.rm (Record.Txn_end top));
+          forget t top
+        in
+        (match t.profile with
+        | Profile.Classic -> phase_two ()
+        | Profile.Integrated ->
+            ignore (Engine.spawn t.engine ~node:t.node_id phase_two));
+        Committed
+  in
+  small t;
+  outcome
 
 (* Subordinate side ----------------------------------------------------- *)
 
@@ -644,13 +622,7 @@ let handle_prepare t top ~src =
   in
   Engine.charge_cpu t.engine ~process:"tm" Overheads.tm_commit_write;
   let children = Comm_mgr.children_of t.cm top in
-  let g = new_gather () t.gathers top children in
-  if tracing t then
-    emit t (Prepare_sent { node = t.node_id; tid = top; dests = children });
-  Comm_mgr.send_datagrams_parallel t.cm ~dests:children (Tm_prepare top);
-  let local_ok = local_votes_ok t top in
-  wait_gather t g;
-  Hashtbl.remove t.gathers top;
+  let g, local_ok = phase_one t top ~children ~cast:ignore in
   let wrote = family_wrote_locally t top in
   let send_vote vote =
     (* Under Paxos Commit a direct child of the root is a root-level
@@ -660,8 +632,8 @@ let handle_prepare t top ~src =
        node, which aggregates them into its own vote. Read_only is cast
        on the child's behalf by the root, which must decide whether the
        whole tree is read-only first.) For a Yes this runs after the
-       prepare record is forced above: a vote must never outlive the
-       updates it promises. *)
+       prepare record is forced: a vote must never outlive the updates
+       it promises. *)
     (match t.px with
     | Some px when src = top.Tid.node && vote <> Read_only ->
         Paxos.cast_vote px top ~part:t.node_id ~yes:(vote = Yes)
@@ -670,38 +642,28 @@ let handle_prepare t top ~src =
       emit t (Vote_sent { node = t.node_id; tid = top; dest = src; vote });
     Comm_mgr.send_datagram t.cm ~dest:src (Tm_vote (top, vote))
   in
-  if g.any_no || (not local_ok) || not known then begin
-    let reason =
-      if (not local_ok) || not known then Trace.Vote_no
-      else if g.timed_out then Trace.Comm_failure
-      else Trace.Vote_no
-    in
-    abort_top t top ~children ~reason;
-    forget t top;
-    send_vote No
-  end
-  else if t.read_only_optimization && (not wrote) && g.all_read_only then begin
-    (* Read-only subtree: release and drop out of phase two. *)
-    record_outcome t top Committed;
-    notify_local_servers t top Committed;
-    forget t top;
-    send_vote Read_only
-  end
-  else begin
-    let lsn =
-      Recovery_mgr.append_tm_record t.rm (Record.Txn_prepare (top, src))
-    in
-    Recovery_mgr.force_through t.rm lsn;
-    Hashtbl.replace t.participants top
-      { p_tid = top; p_coordinator = src; p_resolved = false };
-    if tracing t then
-      emit t (Prepared_in_doubt { node = t.node_id; tid = top; coordinator = src });
-    (* If the coordinator's verdict never arrives we are blocked in
-       doubt; keep asking. The generous first delay keeps queries off
-       the wire in healthy runs. *)
-    start_resolver t top ~coordinator:src ~delay:3_000_000;
-    send_vote Yes
-  end
+  match abort_reason g ~local_ok:(local_ok && known) with
+  | Some reason ->
+      abort_top t top ~children ~reason;
+      forget t top;
+      send_vote No
+  | None when t.read_only_optimization && (not wrote) && g.all_read_only ->
+      (* Read-only subtree: release and drop out of phase two. *)
+      record_outcome t top Committed;
+      notify_local_servers t top Committed;
+      forget t top;
+      send_vote Read_only
+  | None ->
+      force_record t (Record.Txn_prepare (top, src));
+      Hashtbl.replace t.participants top
+        { p_tid = top; p_coordinator = src; p_resolved = false };
+      if tracing t then
+        emit t (Prepared_in_doubt { node = t.node_id; tid = top; coordinator = src });
+      (* If the coordinator's verdict never arrives we are blocked in
+         doubt; keep asking. The generous first delay keeps queries off
+         the wire in healthy runs. *)
+      start_resolver t top ~coordinator:src ~delay:3_000_000;
+      send_vote Yes
 
 let apply_decided_outcome t top outcome ~ack_to =
   (* The verdict may reach us in the prepared state (normal phase two),
@@ -738,15 +700,28 @@ let apply_decided_outcome t top outcome ~ack_to =
       record_outcome t top outcome;
       notify_local_servers t top outcome;
       (* propagate down the tree before acknowledging upward *)
-      let children = Comm_mgr.children_of t.cm top in
-      let a = new_gather () t.acks top children in
-      propagate_outcome t top outcome ~to_nodes:children;
-      wait_gather t a;
-      Hashtbl.remove t.acks top;
+      push_verdict t top outcome ~children:(Comm_mgr.children_of t.cm top);
       forget t top;
       Option.iter
         (fun dest -> Comm_mgr.send_datagram t.cm ~dest (Tm_ack top))
         ack_to
+  end
+
+(* A verdict answering an in-doubt query: a coordinator's status reply,
+   an acceptor's Px_decision, or a takeover's broadcast. Accept it for a
+   prepared participant (normal in-doubt resolution) or for an
+   undecided orphan participant still holding effects of a remote
+   transaction. *)
+let accept_verdict t top outcome ~src =
+  let orphan =
+    (not (Hashtbl.mem t.outcomes top))
+    && top.Tid.node <> t.node_id
+    && Comm_mgr.involved_remotely t.cm top
+  in
+  if Hashtbl.mem t.participants top || orphan then begin
+    if tracing t then
+      emit t (Verdict_received { node = t.node_id; tid = top; outcome; src });
+    apply_decided_outcome t top outcome ~ack_to:None
   end
 
 (* In-doubt resolution: a prepared participant that hears nothing asks
@@ -789,10 +764,7 @@ let commit t tid =
     small t;
     Committed
   end
-  else if Comm_mgr.involved_remotely t.cm tid then
-    match t.px with
-    | Some px -> commit_paxos t px tid
-    | None -> commit_distributed t tid
+  else if Comm_mgr.involved_remotely t.cm tid then commit_distributed t tid
   else commit_local t tid
 
 let abort t ?(reason = Trace.Explicit) tid =
@@ -853,8 +825,8 @@ let recover t (summary : Recovery_mgr.recovery_outcome) =
   t.ready <- true
 
 let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
-    ?(commit_protocol = Commit_protocol.default) ?(vote_timeout = 2_000_000)
-    ?(read_only_optimization = true) ?(checkpoint_interval = 50) () =
+    ?(commit_protocol = Commit_protocol.default)
+    ?(read_only_optimization = true) () =
   let t =
     {
       engine;
@@ -866,9 +838,7 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
       px = None;
       ready = true;
       resolutions_abandoned = 0;
-      vote_timeout;
       read_only_optimization;
-      checkpoint_interval;
       commits_since_checkpoint = 0;
       distributed_commits = 0;
       (* Transaction identifiers must be globally unique across crashes:
@@ -923,10 +893,7 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
           | Some px when v = Read_only && top.Tid.node = t.node_id ->
               Paxos.cast_vote px top ~part:src ~yes:true
           | _ -> ());
-          gather_note t t.gathers top src v;
-          if v = No then
-            (* make sure a blocked coordinator learns promptly *)
-            gather_note t t.gathers top src No
+          gather_note t t.gathers top src v
       | Tm_commit top ->
           if tracing t then
             emit t
@@ -944,36 +911,10 @@ let create engine ~node ~rm ~cm ?(profile = Profile.Classic)
             emit t (Ack_received { node = t.node_id; tid = top; src });
           gather_note t t.acks top src Yes
       | Tm_status_query top -> handle_status_query t top ~src
-      | Tm_status_reply (top, outcome) ->
-          (* accept for a prepared participant (normal in-doubt
-             resolution) or for an undecided orphan participant still
-             holding effects of a remote transaction *)
-          let orphan =
-            (not (Hashtbl.mem t.outcomes top))
-            && top.Tid.node <> t.node_id
-            && Comm_mgr.involved_remotely t.cm top
-          in
-          if Hashtbl.mem t.participants top || orphan then begin
-            if tracing t then
-              emit t (Verdict_received { node = t.node_id; tid = top; outcome; src });
-            apply_decided_outcome t top outcome ~ack_to:None
-          end
+      | Tm_status_reply (top, outcome) -> accept_verdict t top outcome ~src
       | Paxos.Px_decision { tid = top; committed } ->
-          (* A Paxos decision reaching a blocked participant (from an
-             acceptor answering its status query, or a takeover's
-             broadcast). Same acceptance rule as Tm_status_reply; the
-             Paxos module's own handler separately records the decision
-             for this node's acceptor/leader roles. *)
-          let outcome = if committed then Committed else Aborted in
-          let orphan =
-            (not (Hashtbl.mem t.outcomes top))
-            && top.Tid.node <> t.node_id
-            && Comm_mgr.involved_remotely t.cm top
-          in
-          if Hashtbl.mem t.participants top || orphan then begin
-            if tracing t then
-              emit t (Verdict_received { node = t.node_id; tid = top; outcome; src });
-            apply_decided_outcome t top outcome ~ack_to:None
-          end
+          (* the Paxos module's own handler separately records the
+             decision for this node's acceptor/leader roles *)
+          accept_verdict t top (if committed then Committed else Aborted) ~src
       | _ -> ());
   t

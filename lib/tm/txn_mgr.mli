@@ -129,10 +129,13 @@ type server_callbacks = {
 
     [read_only_optimization] (default true) lets subtrees that logged
     nothing vote Read_only and drop out of phase two; disabling it
-    exists for the ablation benchmark. Every [checkpoint_interval]
-    commits (default 50) the Transaction Manager asks the Recovery
-    Manager for a system checkpoint and, if the log is near its space
-    limit, reclamation. *)
+    exists for the ablation benchmark.
+
+    Two values are constants: a node waits 2 s for its children's votes
+    or acks (and, under Paxos Commit, the coordinator for the acceptors'
+    quorum) before treating silence as a crash, and every 50 commits the
+    Transaction Manager asks the Recovery Manager for a system
+    checkpoint and, if the log is near its space limit, reclamation. *)
 val create :
   Tabs_sim.Engine.t ->
   node:int ->
@@ -140,9 +143,7 @@ val create :
   cm:Tabs_net.Comm_mgr.t ->
   ?profile:Tabs_sim.Profile.t ->
   ?commit_protocol:Commit_protocol.t ->
-  ?vote_timeout:int ->
   ?read_only_optimization:bool ->
-  ?checkpoint_interval:int ->
   unit ->
   t
 

@@ -217,6 +217,63 @@ let test_takeover_with_f_acceptor_failures () =
   Alcotest.(check bool) "locks released on remaining nodes" true
     (no_leaked_locks [ List.nth arrays 0; List.nth arrays 2 ])
 
+(* A takeover decides Abort while the coordinator's own local vote is
+   still running: a server joined at the coordinator takes longer to
+   vote than the acceptors' takeover delay (2.5 s), so the takeover
+   finds no accepted value for the coordinator's instance and chooses
+   Aborted. When the vote finally returns, the coordinator must adopt
+   that decision — an abort for communication failure — and every
+   participant must release its locks with no write surviving. *)
+let test_takeover_aborts_during_local_vote () =
+  let c, arrays = make_cluster ~commit_protocol:paxos () in
+  let n3 = Cluster.node c 3 in
+  let tm = Node.tm n3 and rpc = Node.rpc n3 in
+  Tabs_tm.Txn_mgr.register_server tm ~name:"slow"
+    {
+      Tabs_tm.Txn_mgr.on_prepare =
+        (fun _ ->
+          Engine.delay 5_000_000;
+          true);
+      on_outcome = (fun _ _ -> ());
+      on_subtxn_commit = ignore;
+      on_subtxn_abort = ignore;
+    };
+  let recorder = Recorder.attach (Cluster.engine c) in
+  let outcome =
+    Cluster.run_fiber c ~node:3 (fun () ->
+        let tid = Txn_lib.begin_transaction tm () in
+        write_everywhere tm rpc ~nodes:4 tid 13;
+        Tabs_tm.Txn_mgr.join tm ~tid ~server:"slow";
+        Tabs_tm.Txn_mgr.commit tm tid)
+  in
+  Cluster.run c;
+  let entries = Recorder.entries recorder in
+  Recorder.detach recorder;
+  Alcotest.(check bool) "coordinator aborted" true
+    (outcome = Tabs_tm.Txn_mgr.Aborted);
+  Alcotest.(check bool) "a takeover ballot ran" true
+    (List.exists
+       (fun ({ event; _ } : Recorder.entry) ->
+         match event with Tabs_tm.Paxos.Paxos_takeover _ -> true | _ -> false)
+       entries);
+  Alcotest.(check bool) "abort reason is Comm_failure" true
+    (List.exists
+       (fun ({ event; _ } : Recorder.entry) ->
+         match event with
+         | Tabs_tm.Txn_mgr.Txn_abort { node = 3; reason = Trace.Comm_failure; _ }
+           ->
+             true
+         | _ -> false)
+       entries);
+  Alcotest.(check bool) "nothing in doubt" true (drained c);
+  Alcotest.(check bool) "no leaked locks" true (no_leaked_locks arrays);
+  for node = 0 to 3 do
+    Alcotest.(check int)
+      (Printf.sprintf "node %d does not hold the write" node)
+      0
+      (read_cell c arrays ~node)
+  done
+
 (* S1 regression: under 2PC with the coordinator gone for good, the
    resolver exhausts its status-query budget. That surrender used to be
    silent; it must now be observable in the trace stream, the
@@ -369,6 +426,8 @@ let suites =
           test_takeover_releases_in_doubt;
         Alcotest.test_case "progress with F acceptor failures" `Quick
           test_takeover_with_f_acceptor_failures;
+        Alcotest.test_case "takeover aborts during coordinator's local vote"
+          `Quick test_takeover_aborts_during_local_vote;
         Alcotest.test_case "abandoned resolution is observable" `Quick
           test_resolution_abandoned_is_observable;
         Alcotest.test_case "restart window answers no status query" `Quick
